@@ -3,8 +3,10 @@
 One command per invocation: ``analyze``, ``equivalence``, ``transfer``,
 ``sweep``, ``spectral``, ``check`` or ``gen``. Reports are canonical JSON
 written to ``--output`` or standard output and are byte-identical for
-identical inputs, flags and tool version; wall-clock timing therefore
-goes to the log stream (``KFR_LOG=info``), never into the report.
+identical input, flags, version and BLAS thread count; wall-clock timing
+therefore goes to the log stream (``KFR_LOG=info``), never into the
+report. Under another BLAS thread count, numbers may differ at rounding
+level and ``gen`` may flip the signs of basis vectors.
 
 Exit status: 0 when every check passed, 1 for validation or parse
 failures, 2 for numerical failures (kernel violations, degeneracies,
@@ -257,11 +259,17 @@ def _custom_gram_family(path: str, instance: ProblemInstance):
                 f"expected {instance.dimension}"
             )
         gram = build_instance_gram(member)
-        members[gram.regularity.min_abs_eigenvalue] = gram
+        epsilon = gram.regularity.min_abs_eigenvalue
+        if epsilon in members:
+            raise InstanceValidationError(
+                f"family members {members[epsilon][0]} and {index} have the "
+                f"same epsilon {epsilon!r} (smallest eigenvalue magnitude)"
+            )
+        members[epsilon] = (index, gram)
     epsilons = sorted(members, reverse=True)
 
     def build(epsilon: float):
-        return members[epsilon]
+        return members[epsilon][1]
 
     return build, epsilons
 

@@ -1,9 +1,10 @@
 """Dense real symmetric linear algebra kernel.
 
-Everything downstream needs lives here: a cyclic Jacobi eigensolver,
-rank-revealing orthonormalization, spectral matrix functions and extremal
-generalized Rayleigh quotients for symmetric-definite pencils. All inputs
-and outputs are plain ``numpy.float64`` arrays; results are returned with
+Everything downstream needs lives here: one symmetric eigensolver entry
+point (LAPACK through ``np.linalg.eigh``), rank-revealing
+orthonormalization, spectral matrix functions and extremal generalized
+Rayleigh quotients for symmetric-definite pencils. All inputs and outputs
+are plain ``numpy.float64`` arrays; results are returned with
 ``writeable=False`` so shared values cannot be mutated behind a caller's
 back.
 """
@@ -31,11 +32,13 @@ __all__ = [
     "extremal_rayleigh",
 ]
 
-#: Off-diagonal Frobenius threshold (relative) at which the Jacobi sweep stops.
-JACOBI_OFFDIAG_TOL = 1e-13
-
-#: Hard cap on full Jacobi sweeps before giving up.
-JACOBI_MAX_SWEEPS = 100
+#: Relative off-diagonal Frobenius norm at or below which ``symmetric_eig``
+#: treats its input as already diagonal and returns the exact diagonal with
+#: coordinate eigenvectors; LAPACK promises no order inside a repeated
+#: eigenvalue. The value is the stopping threshold of the cyclic Jacobi
+#: solver LAPACK replaced, which returned such inputs after zero sweeps, so
+#: reports on diagonal metrics kept their bytes.
+ALREADY_DIAGONAL_TOL = 1e-13
 
 #: Default relative singular-value threshold for numerical rank decisions.
 RANK_TOL = 1e-10
@@ -46,15 +49,7 @@ METRIC_FLOOR = 1e-12
 
 
 class ConvergenceError(Exception):
-    """Raised when the Jacobi iteration did not reach its threshold.
-
-    Carries the remaining off-diagonal Frobenius residual in
-    ``offdiag_residual`` for diagnostics.
-    """
-
-    def __init__(self, msg: str, offdiag_residual: float):
-        super().__init__(msg)
-        self.offdiag_residual = offdiag_residual
+    """Raised when the symmetric eigensolver does not converge."""
 
 
 class EigenvalueDomainError(Exception):
@@ -101,7 +96,8 @@ def offdiag_frobenius(matrix) -> float:
     """Frobenius norm of the off-diagonal part.
 
     Summed directly over the off-diagonal entries; subtracting the diagonal
-    mass from the total would cancel catastrophically near convergence.
+    mass from the total would cancel catastrophically on nearly diagonal
+    input.
     """
     M = np.asarray(matrix, dtype=float)
     off = M.copy()
@@ -139,72 +135,29 @@ class EigenDecomposition:
         return symmetrize((V * self.eigenvalues) @ V.T)
 
 
-def symmetric_eig(
-    matrix,
-    offdiag_tol: float = JACOBI_OFFDIAG_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+def symmetric_eig(matrix) -> EigenDecomposition:
+    """Eigendecomposition of a real symmetric matrix.
 
-    Rotations are applied in row-cyclic order until the off-diagonal
-    Frobenius norm drops below ``offdiag_tol * max(1, ||M||_F)``. The
-    result is deterministic for identical input: eigenvalues are sorted
-    ascending with a stable sort, so ties keep the order in which the
-    rotations produced them.
+    Eigenvalues come in ascending order. A matrix that is already diagonal
+    (off-diagonal Frobenius norm at most ``ALREADY_DIAGONAL_TOL *
+    max(1, ||M||_F)``) returns its exact diagonal, stably sorted, with
+    permuted unit vectors, so diagonal metrics keep coordinate order inside
+    repeated eigenvalues. Any other matrix goes to LAPACK through
+    ``np.linalg.eigh``. The result is deterministic for identical input and
+    BLAS thread count.
 
-    Raises :class:`ConvergenceError` if the threshold is not met after
-    ``max_sweeps`` full sweeps.
+    Raises :class:`ConvergenceError` if LAPACK reports non-convergence.
     """
     M = symmetrize(matrix)
-    d = M.shape[0]
-    A = M.copy()
-    V = np.eye(d)
-    scale = frobenius(A)
-    threshold = offdiag_tol * max(1.0, scale)
-    # Rotations on entries this small cannot move the off-diagonal norm
-    # past the threshold; skipping them avoids pointless near-identity work.
-    skip = threshold / max(d * d, 1)
-
-    converged = offdiag_frobenius(A) <= threshold
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = A[:, p].copy()
-                rot_q = A[:, q].copy()
-                A[:, p] = c * rot_p - s * rot_q
-                A[:, q] = s * rot_p + c * rot_q
-                rot_p = A[p, :].copy()
-                rot_q = A[q, :].copy()
-                A[p, :] = c * rot_p - s * rot_q
-                A[q, :] = s * rot_p + c * rot_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                rot_p = V[:, p].copy()
-                rot_q = V[:, q].copy()
-                V[:, p] = c * rot_p - s * rot_q
-                V[:, q] = s * rot_p + c * rot_q
-        converged = offdiag_frobenius(A) <= threshold
-
-    residual = offdiag_frobenius(A)
-    if residual > threshold:
-        raise ConvergenceError(
-            f"Jacobi iteration left off-diagonal residual {residual:.3e} "
-            f"above threshold {threshold:.3e} after {max_sweeps} sweeps",
-            offdiag_residual=residual,
-        )
-
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], V[:, order].copy())
+    if offdiag_frobenius(M) <= ALREADY_DIAGONAL_TOL * max(1.0, frobenius(M)):
+        values = np.diag(M).copy()
+        order = np.argsort(values, kind="stable")
+        return EigenDecomposition(values[order], np.eye(M.shape[0])[:, order])
+    try:
+        values, vectors = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    return EigenDecomposition(values, vectors)
 
 
 def orthonormalize(columns, tol: float = RANK_TOL) -> np.ndarray:

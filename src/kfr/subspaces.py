@@ -27,8 +27,8 @@ import numpy as np
 from .krein import GramOperator, w_inner
 from .linalg import (
     MetricError,
+    apply_spectral_function,
     frobenius,
-    matrix_function,
     orthonormalize,
     symmetric_eig,
     symmetrize,
@@ -193,9 +193,9 @@ def orthonormalize_in_metric(columns, metric, tol: float = 1e-10) -> np.ndarray:
     Columns ``C`` satisfy ``C^T G C = I`` afterwards; rank deficiency is
     compressed exactly as in the plain orthonormalization.
     """
-    G = symmetrize(metric)
-    root = matrix_function(G, lambda x: _metric_sqrt(x))
-    inv_root = matrix_function(G, lambda x: 1.0 / _metric_sqrt(x))
+    eig = symmetric_eig(metric)
+    root = apply_spectral_function(eig, _metric_sqrt)
+    inv_root = apply_spectral_function(eig, lambda x: 1.0 / _metric_sqrt(x))
     lifted = orthonormalize(root @ np.asarray(columns, dtype=float), tol=tol)
     return inv_root @ lifted
 

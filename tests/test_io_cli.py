@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kfr
 from kfr.cli import main
 from kfr.generators import make_instance_payload
 from kfr.io import (
@@ -31,6 +35,31 @@ def write_instance(tmp_path, payload, name="instance.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+#: Tolerance, relative to ``max(1, |x|)``, for report numbers written under
+#: different BLAS thread counts. The runs differ only in the order in which
+#: LAPACK sums, which moves a result by a few roundings of the values it is
+#: computed from: about d * eps = 5.7e-14 at d = 256 (measured at most
+#: 6.6e-15 on ``check``). 1e-12 leaves a wide margin above that and stays a
+#: thousand times below the 1e-9 tolerance of the report's identity checks.
+BLAS_THREADS_RTOL = 1e-12
+
+
+def assert_equal_but_rounding(a, b, where="report"):
+    assert type(a) is type(b), where
+    if isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            assert_equal_but_rounding(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for index, (x, y) in enumerate(zip(a, b)):
+            assert_equal_but_rounding(x, y, f"{where}[{index}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= BLAS_THREADS_RTOL * max(1.0, abs(a), abs(b)), where
+    else:
+        assert a == b, where
 
 
 class TestCanonicalSerialization:
@@ -248,6 +277,22 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert len(report["sections"]["epsilons"]) == 4
 
+    def test_sweep_family_file_rejects_repeated_epsilon(self, tmp_path, capsys):
+        instance_path = write_instance(tmp_path, minimal_payload())
+        members = []
+        for eps in (1e-1, 1e-2, 1e-2, 1e-3, 1e-4):
+            member = minimal_payload()
+            member["gram"] = [[1.0, 0.0], [0.0, eps]]
+            members.append(member)
+        family_path = tmp_path / "family.json"
+        family_path.write_text(json.dumps(members), encoding="utf-8")
+        assert main(
+            ["sweep", "--input", instance_path, "--family", str(family_path)]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "family members 1 and 2" in captured.err
+
     def test_spectral_command(self, tmp_path, capsys):
         payload = {
             "dimension": 3,
@@ -282,6 +327,31 @@ class TestCli:
         assert sections["classification"] == "near-singular"
         assert any("transfer" in note for note in sections["notes"])
         assert "regularTransferSandwich" not in sections["checks"]
+
+    def test_check_bytes_fixed_by_blas_thread_count(self, tmp_path):
+        # At d = 256 LAPACK splits work by thread count, so only a rerun
+        # under the same count promises identical bytes.
+        instance = tmp_path / "instance.json"
+        assert main(["gen", "--seed", "3", "--dim", "256", "--subspaces", "4",
+                     "--output", str(instance)]) == 0
+        source = os.path.dirname(os.path.dirname(kfr.__file__))
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+
+        def check(threads, name):
+            report = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, "-m", "kfr.cli", "check",
+                 "--input", str(instance), "--output", str(report)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                timeout=300,
+            )
+            return done.returncode, report.read_bytes()
+
+        one = check("1", "one.json")
+        two = check("2", "two.json")
+        assert check("2", "again.json") == two
+        assert one[0] == two[0] == 0
+        assert_equal_but_rounding(json.loads(one[1]), json.loads(two[1]))
 
     def test_output_file(self, tmp_path):
         path = write_instance(tmp_path, minimal_payload())
