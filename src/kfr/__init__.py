@@ -13,18 +13,22 @@ the analyses over JSON instance files.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .fusion import (
     FrameBounds,
     FourWayReport,
     LocalFrameReport,
     LocalFrameSystem,
     WeightedSubspaceFamily,
+    analysis_operator,
     frame_bounds,
     frame_operator,
     local_frames_to_fusion,
     transport_by_invertible,
     vector_frame_bounds,
     verify_four_way_equivalence,
+    whitened_bounds,
 )
 from .krein import (
     GramOperator,
@@ -80,66 +84,9 @@ from .transfer import (
     transfer_regular,
 )
 
-__all__ = [
-    "__version__",
-    # linalg
-    "ConvergenceError",
-    "EigenDecomposition",
-    "EigenvalueDomainError",
-    "MetricError",
-    "extremal_rayleigh",
-    "matrix_function",
-    "orthonormalize",
-    "symmetric_eig",
-    # krein
-    "GramOperator",
-    "KernelError",
-    "RegularityReport",
-    "build_gram",
-    "j_inner",
-    "j_norm",
-    "norm_equivalence_constants",
-    "w_inner",
-    # subspaces
-    "ComposedProjectionError",
-    "DegenerateSubspaceError",
-    "Projection",
-    "Subspace",
-    "check_j_orthonormal",
-    "is_projectively_complete",
-    "j_orthogonal_complement",
-    "j_orthogonal_projection_composed",
-    "j_orthogonal_projection_gram",
-    "j_orthonormal_basis",
-    "orthogonal_projection",
-    "spans_equal",
-    "subspace_from_columns",
-    # fusion
-    "FrameBounds",
-    "FourWayReport",
-    "LocalFrameReport",
-    "LocalFrameSystem",
-    "WeightedSubspaceFamily",
-    "frame_bounds",
-    "frame_operator",
-    "local_frames_to_fusion",
-    "transport_by_invertible",
-    "vector_frame_bounds",
-    "verify_four_way_equivalence",
-    # transfer
-    "RegularityError",
-    "SweepResult",
-    "TransferReport",
-    "diagonal_gram_family",
-    "singular_sweep",
-    "transfer_map_hilbert_to_krein",
-    "transfer_map_krein_to_hilbert",
-    "transfer_regular",
-    # spectral
-    "AtomicMeasure",
-    "KreinDecomposition",
-    "SpectralRepresentation",
-    "krein_decomposition",
-    "ortho_basis_of_subspaces",
-    "spectral_representation",
+#: Every name imported above, each written once.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

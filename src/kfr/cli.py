@@ -6,7 +6,7 @@ written to ``--output`` or standard output and are byte-identical for
 identical input, flags, version and BLAS thread count; wall-clock timing
 therefore goes to the log stream (``KFR_LOG=info``), never into the
 report. Under another BLAS thread count, numbers may differ at rounding
-level and ``gen`` may flip the signs of basis vectors.
+level.
 
 Exit status: 0 when every check passed, 1 for validation or parse
 failures, 2 for numerical failures (kernel violations, degeneracies,
@@ -29,9 +29,10 @@ import numpy as np
 from . import __version__
 from .fusion import (
     FrameBounds,
+    analysis_operator,
     frame_bounds,
-    frame_operator,
     verify_four_way_equivalence,
+    whitened_bounds,
 )
 from .generators import make_instance_payload
 from .io import (
@@ -50,7 +51,6 @@ from .linalg import (
     ConvergenceError,
     EigenvalueDomainError,
     MetricError,
-    extremal_rayleigh,
     frobenius,
 )
 from .spectral import (
@@ -84,6 +84,7 @@ EXIT_NUMERICAL = 2
 EXIT_THEOREM = 3
 
 NUMERICAL_ERRORS = (
+    np.linalg.LinAlgError,
     ConvergenceError,
     EigenvalueDomainError,
     MetricError,
@@ -160,7 +161,9 @@ def run_analyze(instance: ProblemInstance, args) -> tuple[dict, int]:
 def run_equivalence(instance: ProblemInstance, args) -> tuple[dict, int]:
     family = build_instance_family(instance)
     gram = build_instance_gram(instance)
-    report = verify_four_way_equivalence(family, gram)
+    report = verify_four_way_equivalence(
+        family, gram, frame_tol=instance.options.frame_tol
+    )
     sections = {
         "qOnSubspaces": _bounds_payload(report.q_on_subspaces),
         "qOnMappedSubspaces": _bounds_payload(report.q_on_mapped),
@@ -177,16 +180,21 @@ def run_equivalence(instance: ProblemInstance, args) -> tuple[dict, int]:
 def run_transfer(instance: ProblemInstance, args) -> tuple[dict, int]:
     family = build_instance_family(instance)
     gram = build_instance_gram(instance)
-    report = transfer_regular(family, gram)
+    tol = instance.options.frame_tol
+    report = transfer_regular(family, gram, frame_tol=tol)
 
     forward = transfer_map_hilbert_to_krein(family, gram)
-    forward_bounds = frame_bounds(forward, gram.abs_matrix, J_ORTHOGONAL, gram)
+    forward_bounds = frame_bounds(
+        forward, gram.abs_matrix, J_ORTHOGONAL, gram, frame_tol=tol
+    )
     forward_ok = _close(
         forward_bounds.lower, report.hilbert_bounds.lower
     ) and _close(forward_bounds.upper, report.hilbert_bounds.upper)
 
     backward = transfer_map_krein_to_hilbert(family, gram)
-    backward_bounds = frame_bounds(backward, np.eye(gram.dim), ORTHOGONAL)
+    backward_bounds = frame_bounds(
+        backward, np.eye(gram.dim), ORTHOGONAL, frame_tol=tol
+    )
     backward_ok = _close(
         backward_bounds.lower, report.krein_bounds.lower
     ) and _close(backward_bounds.upper, report.krein_bounds.upper)
@@ -283,7 +291,9 @@ def run_sweep(instance: ProblemInstance, args) -> tuple[dict, int]:
         epsilons = _sweep_epsilons(instance, args)
     else:
         builder, epsilons = _custom_gram_family(args.family, instance)
-    result = singular_sweep(family, builder, epsilons)
+    result = singular_sweep(
+        family, builder, epsilons, frame_tol=instance.options.frame_tol
+    )
     sections = {
         "epsilons": list(result.epsilons),
         "lowerBounds": list(result.lower_bounds),
@@ -303,33 +313,45 @@ def run_sweep(instance: ProblemInstance, args) -> tuple[dict, int]:
     return sections, code
 
 
+def _spectral_checks(gram, cluster_tol: float):
+    """Spectral representation, its projection-sum residual and the Krein
+    bounds of its companion decomposition, with the two checks on them."""
+    identity = np.eye(gram.dim)
+    representation = spectral_representation(gram, cluster_tol)
+    family = ortho_basis_of_subspaces(representation)
+    projection_sum = sum(
+        orthogonal_projection(s, identity).matrix for s in family.subspaces
+    )
+    sum_residual = frobenius(projection_sum - identity)
+    decomposition = krein_decomposition(gram, representation)
+    krein_bounds = frame_bounds(
+        decomposition.family(), gram.abs_matrix, J_ORTHOGONAL, gram
+    )
+    checks = {
+        "projectionsSumToIdentity": sum_residual <= 1e-9,
+        "kreinParseval": _close(krein_bounds.lower, 1.0)
+        and _close(krein_bounds.upper, 1.0),
+    }
+    return representation, family, decomposition, sum_residual, krein_bounds, checks
+
+
 def run_spectral(instance: ProblemInstance, args) -> tuple[dict, int]:
     gram = build_instance_gram(instance)
-    representation = spectral_representation(gram, instance.options.cluster_tol)
-    family = ortho_basis_of_subspaces(representation)
-    decomposition = krein_decomposition(gram, representation)
-
-    plain_bounds = frame_bounds(family, np.eye(gram.dim), ORTHOGONAL)
-    projection_sum = sum(
-        orthogonal_projection(s, np.eye(gram.dim)).matrix for s in family.subspaces
+    representation, family, decomposition, sum_residual, krein_bounds, shared = (
+        _spectral_checks(gram, instance.options.cluster_tol)
     )
-    sum_residual = frobenius(projection_sum - np.eye(gram.dim))
+    plain_bounds = frame_bounds(family, np.eye(gram.dim), ORTHOGONAL)
     multiplication_residual = max(
         frobenius(
             block.basis.T @ gram.matrix @ block.basis - block.multiplication_matrix()
         )
         for block in representation.blocks
     )
-    krein_bounds = frame_bounds(
-        decomposition.family(), gram.abs_matrix, J_ORTHOGONAL, gram
-    )
     checks = {
         "plainParseval": plain_bounds.is_parseval,
-        "projectionsSumToIdentity": sum_residual <= 1e-9,
+        "projectionsSumToIdentity": shared["projectionsSumToIdentity"],
         "multiplicationForm": multiplication_residual <= 1e-9,
-        "kreinParseval": _close(krein_bounds.lower, 1.0) and _close(
-            krein_bounds.upper, 1.0
-        ),
+        "kreinParseval": shared["kreinParseval"],
     }
     sections = {
         "clusters": [
@@ -399,7 +421,6 @@ def run_check(instance: ProblemInstance, args) -> tuple[dict, int]:
             norm_ok = False
     checks["normEquivalence"] = norm_ok
 
-    projections = []
     projection_ok = True
     cross_ok = True
     for index, subspace in enumerate(family.subspaces):
@@ -410,7 +431,6 @@ def run_check(instance: ProblemInstance, args) -> tuple[dict, int]:
                 witness=completeness.witness,
             )
         direct = j_orthogonal_projection_gram(subspace, gram)
-        projections.append(direct)
         Q = direct.matrix
         if (
             frobenius(Q @ Q - Q) > 1e-9 * max(1.0, frobenius(Q))
@@ -429,35 +449,22 @@ def run_check(instance: ProblemInstance, args) -> tuple[dict, int]:
     checks["projectionIdentities"] = projection_ok
     checks["projectionCrossCheck"] = cross_ok
 
-    operator = frame_operator(family, gram.abs_matrix, J_ORTHOGONAL, gram)
-    bounds_lower, bounds_upper = extremal_rayleigh(operator, gram.abs_matrix)
+    A = analysis_operator(family, gram.abs_matrix, J_ORTHOGONAL, gram)
+    bounds = whitened_bounds(A @ gram.inv_sqrt_abs)
     sampled_ok = True
     for _ in range(200):
         k = rng.standard_normal(d)
-        value = float(k @ operator @ k) / float(k @ gram.abs_matrix @ k)
-        if not (bounds_lower - 1e-8 <= value <= bounds_upper + 1e-8):
+        value = float(np.sum((A @ k) ** 2)) / float(k @ gram.abs_matrix @ k)
+        if not (bounds.lower - 1e-8 <= value <= bounds.upper + 1e-8):
             sampled_ok = False
     checks["definitionConsistency"] = sampled_ok
 
     four_way = verify_four_way_equivalence(family, gram)
     checks["fourWayEquivalence"] = four_way.bounds_agree
 
-    representation = spectral_representation(gram, instance.options.cluster_tol)
-    spectral_family = ortho_basis_of_subspaces(representation)
-    projection_sum = sum(
-        orthogonal_projection(s, identity).matrix
-        for s in spectral_family.subspaces
-    )
-    checks["spectralResolution"] = frobenius(projection_sum - identity) <= 1e-9
-    krein_bounds = frame_bounds(
-        krein_decomposition(gram, representation).family(),
-        gram.abs_matrix,
-        J_ORTHOGONAL,
-        gram,
-    )
-    checks["spectralKreinParseval"] = _close(krein_bounds.lower, 1.0) and _close(
-        krein_bounds.upper, 1.0
-    )
+    shared = _spectral_checks(gram, instance.options.cluster_tol)[-1]
+    checks["spectralResolution"] = shared["projectionsSumToIdentity"]
+    checks["spectralKreinParseval"] = shared["kreinParseval"]
 
     if gram.is_regular:
         checks["regularTransferSandwich"] = transfer_regular(
@@ -530,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=float,
-        help="override the frame tolerance (clustering tolerance for spectral)",
+        help="override frameTol, or clusterTol for spectral (check reports no isFrame)",
     )
     return parser
 

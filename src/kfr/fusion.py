@@ -1,11 +1,11 @@
 """Weighted subspace families and their frame bounds.
 
-The frame operator of a weighted family under a metric ``G`` is the
-symmetric matrix ``M = sum_i x_i^2 P_i^T G P_i`` whose quadratic form
-collects the weighted squared projection norms. Optimal frame bounds are
-the extreme generalized eigenvalues of the pencil ``(M, G)``; they are
-computed exactly rather than certified from inequalities, which makes
-every downstream theorem check as tight as the arithmetic allows.
+Every bound comes from one analysis operator ``A`` (Casazza and Kutyniok,
+"Frames of subspaces", 2004) with ``A^T A = sum_i x_i^2 P_i^T G P_i``, the
+frame operator under a metric ``G``. Optimal bounds are the extreme
+eigenvalues of ``F^T F`` for ``F = A G^{-1/2}``, with ``G^{-1/2}`` the cached
+``|W|^{-1/2}`` of a Gram operator when ``G = |W|``; they are exact, not
+certified, so every theorem check is as tight as the arithmetic allows.
 
 Projections come in two kinds, matching the two frame-of-subspaces
 definitions: metric-orthogonal projections for a plain or companion inner
@@ -21,16 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krein import GramOperator
-from .linalg import extremal_rayleigh, orthonormalize, symmetrize
+from .linalg import inverse_sqrt_of_metric, orthonormalize, symmetric_eig, symmetrize
 from .subspaces import (
     DegenerateSubspaceError,
     J_ORTHOGONAL,
     ORTHOGONAL,
-    Projection,
     Subspace,
     j_orthogonal_projection_gram,
     orthogonal_projection,
-    orthonormalize_in_metric,
     subspace_from_columns,
 )
 
@@ -42,8 +40,10 @@ __all__ = [
     "FourWayReport",
     "LocalFrameSystem",
     "LocalFrameReport",
+    "analysis_operator",
     "frame_operator",
     "frame_bounds",
+    "whitened_bounds",
     "vector_frame_bounds",
     "verify_four_way_equivalence",
     "local_frames_to_fusion",
@@ -116,19 +116,34 @@ def classify_bounds(
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
 
 
-def _projections(
+def analysis_operator(
     family: WeightedSubspaceFamily,
-    metric: np.ndarray,
-    kind: str,
-    gram: GramOperator | None,
-) -> list[Projection]:
-    if kind == ORTHOGONAL:
-        return [orthogonal_projection(s, metric) for s in family.subspaces]
-    if kind == J_ORTHOGONAL:
-        if gram is None:
-            raise ValueError("J-orthogonal projections need a Gram operator")
-        return [j_orthogonal_projection_gram(s, gram) for s in family.subspaces]
-    raise ValueError(f"unknown projection kind {kind!r}")
+    metric,
+    kind: str = ORTHOGONAL,
+    gram: GramOperator | None = None,
+) -> np.ndarray:
+    """Stacked ``(R, d)`` operator of blocks ``x_i L_i^T B_i^T P_i``, where
+    ``L_i L_i^T = B_i^T G B_i``; its Gram ``A^T A`` is the frame operator."""
+    G = symmetrize(metric)
+    if G.shape[0] != family.ambient_dim:
+        raise ValueError(
+            f"metric dimension {G.shape[0]} does not match family "
+            f"dimension {family.ambient_dim}"
+        )
+    if kind not in (ORTHOGONAL, J_ORTHOGONAL):
+        raise ValueError(f"unknown projection kind {kind!r}")
+    if kind == J_ORTHOGONAL and gram is None:
+        raise ValueError("J-orthogonal projections need a Gram operator")
+    blocks = []
+    for weight, subspace in zip(family.weights, family.subspaces):
+        if kind == ORTHOGONAL:
+            P = orthogonal_projection(subspace, G).matrix
+        else:
+            P = j_orthogonal_projection_gram(subspace, gram).matrix
+        B = subspace.basis
+        root = np.linalg.cholesky(symmetrize(B.T @ G @ B))
+        blocks.append(weight * (root.T @ (B.T @ P)))
+    return np.vstack(blocks)
 
 
 def frame_operator(
@@ -137,24 +152,18 @@ def frame_operator(
     kind: str = ORTHOGONAL,
     gram: GramOperator | None = None,
 ) -> np.ndarray:
-    """Frame operator ``sum_i x_i^2 P_i^T G P_i`` in a fixed index order.
+    """Frame operator ``A^T A = sum_i x_i^2 P_i^T G P_i``."""
+    A = analysis_operator(family, metric, kind, gram)
+    return symmetrize(A.T @ A)
 
-    Its quadratic form at ``k`` is the weighted sum of squared projection
-    norms measured in the metric ``G``.
-    """
-    G = symmetrize(metric)
-    if G.shape[0] != family.ambient_dim:
-        raise ValueError(
-            f"metric dimension {G.shape[0]} does not match family "
-            f"dimension {family.ambient_dim}"
-        )
-    total = np.zeros_like(G)
-    for weight, projection in zip(
-        family.weights, _projections(family, G, kind, gram)
-    ):
-        P = projection.matrix
-        total += weight**2 * (P.T @ G @ P)
-    return symmetrize(total)
+
+def whitened_bounds(
+    whitened, frame_tol: float = FRAME_TOL, tight_tol: float = TIGHT_TOL
+) -> FrameBounds:
+    """Bounds of a whitened analysis operator ``F``: the extreme eigenvalues
+    of ``F^T F`` (the lower one zero when ``F`` has fewer rows than columns)."""
+    values = symmetric_eig(whitened.T @ whitened).eigenvalues
+    return classify_bounds(float(values[0]), float(values[-1]), frame_tol, tight_tol)
 
 
 def frame_bounds(
@@ -165,10 +174,14 @@ def frame_bounds(
     frame_tol: float = FRAME_TOL,
     tight_tol: float = TIGHT_TOL,
 ) -> FrameBounds:
-    """Optimal frame bounds: extremes of ``k^T M k / k^T G k``."""
-    M = frame_operator(family, metric, kind, gram)
-    lower, upper = extremal_rayleigh(M, metric)
-    return classify_bounds(lower, upper, frame_tol, tight_tol)
+    """Optimal frame bounds: extremes of ``|A k|^2 / k^T G k``."""
+    G = symmetrize(metric)
+    if gram is not None and np.array_equal(G, gram.abs_matrix):
+        root = gram.inv_sqrt_abs  # |W| is not factored again
+    else:
+        root = inverse_sqrt_of_metric(G)
+    A = analysis_operator(family, G, kind, gram)
+    return whitened_bounds(A @ root, frame_tol, tight_tol)
 
 
 def vector_frame_bounds(
@@ -179,23 +192,14 @@ def vector_frame_bounds(
 ) -> FrameBounds:
     """Optimal bounds of a finite vector frame under an SPD metric.
 
-    The quadratic form is ``sum_j <k, f_j>_G^2``, so the frame operator is
-    ``sum_j G f_j f_j^T G`` measured against ``G``.
+    The quadratic form is ``sum_j <k, f_j>_G^2``: the analysis operator
+    has rows ``(G f_j)^T``.
     """
     G = symmetrize(metric)
-    stacked = [np.asarray(f, dtype=float) for f in vectors]
-    if not stacked:
-        raise ValueError("vector frame must be nonempty")
-    total = np.zeros_like(G)
-    for f in stacked:
-        if f.shape != (G.shape[0],):
-            raise ValueError(
-                f"frame vector has shape {f.shape}, expected ({G.shape[0]},)"
-            )
-        lifted = G @ f
-        total += np.outer(lifted, lifted)
-    lower, upper = extremal_rayleigh(symmetrize(total), G)
-    return classify_bounds(lower, upper, frame_tol, tight_tol)
+    rows = np.array([np.asarray(f, dtype=float) for f in vectors])
+    if rows.ndim != 2 or rows.shape[1] != G.shape[0]:
+        raise ValueError(f"expected a nonempty list of ({G.shape[0]},) frame vectors")
+    return whitened_bounds(rows @ G @ inverse_sqrt_of_metric(G), frame_tol, tight_tol)
 
 
 @dataclass(frozen=True)
@@ -239,6 +243,7 @@ def verify_four_way_equivalence(
     family: WeightedSubspaceFamily,
     gram: GramOperator,
     rel_tol: float = 1e-8,
+    frame_tol: float = FRAME_TOL,
 ) -> FourWayReport:
     """Compute the four formulation bound pairs and whether they coincide.
 
@@ -265,7 +270,7 @@ def verify_four_way_equivalence(
     degeneracies: list[str] = []
     for label, fam, kind in labels_and_calls:
         try:
-            results.append(frame_bounds(fam, metric, kind, gram))
+            results.append(frame_bounds(fam, metric, kind, gram, frame_tol))
         except DegenerateSubspaceError as exc:
             results.append(None)
             degeneracies.append(f"{label}: {exc}")
@@ -363,41 +368,32 @@ def local_frames_to_fusion(
     """
     if system.ambient_dim != gram.dim:
         raise ValueError("system and Gram operator dimensions differ")
-    metric = gram.abs_matrix
     issues: list[str] = []
-
     block_bounds = []
     spans = []
-    basis_vectors: list[np.ndarray] = []
+    vector_rows, basis_rows = [], []
     for index, (block, weight) in enumerate(zip(system.blocks, system.weights)):
-        basis = orthonormalize_in_metric(block, metric)
-        if basis.shape[1] == 0:
+        # whitened vectors |W|^{1/2} f_j, measured in coordinates of their span
+        whitened = gram.sqrt_abs @ block
+        coords = orthonormalize(whitened)
+        if coords.shape[1] == 0:
             raise ValueError(f"block {index} spans nothing")
         spans.append(subspace_from_columns(block))
-        # bounds of the block within its span: compress the frame operator
-        # onto metric-orthonormal coordinates of the span
-        coords = np.stack([basis.T @ (metric @ f) for f in block.T], axis=0)
-        compressed = symmetrize(coords.T @ coords)
-        lower, upper = extremal_rayleigh(compressed, np.eye(compressed.shape[0]))
-        bounds = classify_bounds(lower, upper, frame_tol)
+        bounds = whitened_bounds(whitened.T @ coords, frame_tol)
         block_bounds.append(bounds)
         if not bounds.is_frame:
             issues.append(
-                f"block {index} does not frame its span (lower bound {lower:.3e})"
+                f"block {index} does not frame its span "
+                f"(lower bound {bounds.lower:.3e})"
             )
-        basis_vectors.extend(weight * basis[:, j] for j in range(basis.shape[1]))
-
-    weighted_vectors = [
-        weight * block[:, j]
-        for block, weight in zip(system.blocks, system.weights)
-        for j in range(block.shape[1])
-    ]
-    vector_bounds = vector_frame_bounds(weighted_vectors, metric, frame_tol)
-    basis_bounds = vector_frame_bounds(basis_vectors, metric, frame_tol)
+        vector_rows.append(weight * whitened.T)
+        basis_rows.append(weight * coords.T)
+    vector_bounds = whitened_bounds(np.vstack(vector_rows), frame_tol)
+    basis_bounds = whitened_bounds(np.vstack(basis_rows), frame_tol)
 
     family = WeightedSubspaceFamily(system.weights, tuple(spans))
     try:
-        fusion = frame_bounds(family, metric, J_ORTHOGONAL, gram, frame_tol)
+        fusion = frame_bounds(family, gram.abs_matrix, J_ORTHOGONAL, gram, frame_tol)
     except DegenerateSubspaceError as exc:
         issues.append(f"fusion family degenerates: {exc}")
         fusion = classify_bounds(0.0, math.inf, frame_tol)

@@ -29,9 +29,16 @@ __all__ = [
     "random_invariant_family",
     "make_instance_payload",
     "DEFAULT_SWEEP_EPSILONS",
+    "MAX_INSTANCE_SIZE",
 ]
 
 DEFAULT_SWEEP_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+#: Largest dimension and subspace count ``make_instance_payload`` accepts,
+#: checked before anything is allocated. The Gram matrix alone takes
+#: ``8 d^2`` bytes and every command factors several dense d x d matrices;
+#: 1024 keeps one matrix at 8 MB, while ``--dim 100000`` would ask for 80 GB.
+MAX_INSTANCE_SIZE = 1024
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -139,6 +146,11 @@ def make_instance_payload(seed: int, dim: int, subspace_count: int) -> dict:
         raise ValueError("dimension must be at least 2")
     if subspace_count < 1:
         raise ValueError("at least one subspace is required")
+    if max(dim, subspace_count) > MAX_INSTANCE_SIZE:
+        raise ValueError(
+            f"dimension {dim} and subspace count {subspace_count} must not "
+            f"exceed {MAX_INSTANCE_SIZE}"
+        )
     rng = np.random.default_rng(seed)
     negatives = dim // 2
     gram = random_gram(rng, dim, negatives=negatives)

@@ -29,6 +29,7 @@ __all__ = [
     "orthonormalize",
     "matrix_function",
     "apply_spectral_function",
+    "inverse_sqrt_of_metric",
     "extremal_rayleigh",
 ]
 
@@ -165,7 +166,8 @@ def orthonormalize(columns, tol: float = RANK_TOL) -> np.ndarray:
 
     Singular directions with singular value at most ``tol`` times the
     largest one are dropped, so rank-deficient input yields fewer columns
-    rather than an error. All-zero input yields a ``(d, 0)`` array.
+    rather than an error. All-zero input yields a ``(d, 0)`` array. Each
+    column's largest-magnitude entry is positive.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -183,7 +185,12 @@ def orthonormalize(columns, tol: float = RANK_TOL) -> np.ndarray:
     if sv.size == 0 or sv[0] == 0.0:
         return np.zeros((d, 0))
     rank = int(np.sum(sv > tol * sv[0]))
-    return U[:, :rank].copy()
+    # LAPACK picks column signs freely, and inputs that differ at rounding
+    # level (say, under another BLAS thread count) can get other signs; fix
+    # each column's largest-magnitude entry positive
+    basis = U[:, :rank]
+    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(rank)]
+    return basis * np.where(pivots < 0.0, -1.0, 1.0)
 
 
 def apply_spectral_function(
@@ -214,7 +221,8 @@ def matrix_function(matrix, f: Callable[[float], float]) -> np.ndarray:
     return apply_spectral_function(symmetric_eig(matrix), f)
 
 
-def _inverse_sqrt_of_metric(metric) -> np.ndarray:
+def inverse_sqrt_of_metric(metric) -> np.ndarray:
+    """``G^{-1/2}`` of a symmetric positive definite metric ``G``."""
     G = symmetrize(metric)
     eig = symmetric_eig(G)
     smallest, largest = float(eig.eigenvalues[0]), float(eig.eigenvalues[-1])
@@ -234,7 +242,7 @@ def extremal_rayleigh(matrix, metric) -> tuple[float, float]:
     eigendecomposition. ``G`` must be symmetric positive definite.
     """
     M = symmetrize(matrix)
-    Gi = _inverse_sqrt_of_metric(metric)
+    Gi = inverse_sqrt_of_metric(metric)
     if Gi.shape != M.shape:
         raise ValueError(
             f"pencil shapes disagree: {M.shape} versus {Gi.shape}"

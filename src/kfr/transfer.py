@@ -27,14 +27,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fusion import (
+    FRAME_TOL,
     FrameBounds,
     WeightedSubspaceFamily,
+    analysis_operator,
     frame_bounds,
-    frame_operator,
     transport_by_invertible,
+    whitened_bounds,
 )
 from .krein import GramOperator, build_gram
-from .linalg import extremal_rayleigh
 from .subspaces import DegenerateSubspaceError, J_ORTHOGONAL, ORTHOGONAL
 
 __all__ = [
@@ -82,6 +83,7 @@ def transfer_regular(
     family: WeightedSubspaceFamily,
     gram: GramOperator,
     slack: float = SANDWICH_SLACK,
+    frame_tol: float = FRAME_TOL,
 ) -> TransferReport:
     """Bounds of one family in both geometries with a certified interval.
 
@@ -93,8 +95,8 @@ def transfer_regular(
             "transfer with certified interval requires a regular Gram "
             "operator; use singular_sweep for the near-singular family"
         )
-    hilbert = frame_bounds(family, np.eye(gram.dim), ORTHOGONAL)
-    krein = frame_bounds(family, gram.abs_matrix, J_ORTHOGONAL, gram)
+    hilbert = frame_bounds(family, np.eye(gram.dim), ORTHOGONAL, frame_tol=frame_tol)
+    krein = frame_bounds(family, gram.abs_matrix, J_ORTHOGONAL, gram, frame_tol)
     smallest = gram.regularity.min_abs_eigenvalue
     largest = gram.regularity.max_abs_eigenvalue
     certified = (
@@ -175,6 +177,7 @@ def singular_sweep(
     gram_family: Callable[[float], GramOperator],
     epsilons: Sequence[float],
     envelope_slack: float = 1e-12,
+    frame_tol: float = FRAME_TOL,
 ) -> SweepResult:
     """Measure the lower-bound collapse of a family as epsilon decreases.
 
@@ -192,7 +195,9 @@ def singular_sweep(
     if eps[0] / eps[-1] < 1e3:
         raise ValueError("epsilons must span at least three decades")
 
-    hilbert = frame_bounds(family, np.eye(family.ambient_dim), ORTHOGONAL)
+    hilbert = frame_bounds(
+        family, np.eye(family.ambient_dim), ORTHOGONAL, frame_tol=frame_tol
+    )
     if not hilbert.is_frame:
         raise ValueError(
             "the family is not a frame in the plain metric; the sweep "
@@ -209,17 +214,15 @@ def singular_sweep(
     for value in eps:
         try:
             gram = gram_family(value)
-            operator = frame_operator(
-                family, gram.abs_matrix, J_ORTHOGONAL, gram
-            )
-            lower, _ = extremal_rayleigh(operator, gram.abs_matrix)
-            witness, _ = extremal_rayleigh(operator, np.eye(gram.dim))
+            A = analysis_operator(family, gram.abs_matrix, J_ORTHOGONAL, gram)
+            lower = whitened_bounds(A @ gram.inv_sqrt_abs).lower
+            witness = whitened_bounds(A).lower
         except DegenerateSubspaceError as exc:
             skipped.append((value, str(exc)))
             continue
         kept.append(value)
-        lower_bounds.append(max(lower, 0.0))
-        witness_values.append(max(witness, 0.0))
+        lower_bounds.append(lower)
+        witness_values.append(witness)
         condition = gram.regularity.condition_number
         certified_ratios.append(
             (hilbert.upper / hilbert.lower) * condition**2

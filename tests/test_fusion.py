@@ -1,22 +1,33 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import kfr.linalg
 from kfr.fusion import (
     LocalFrameSystem,
     WeightedSubspaceFamily,
+    analysis_operator,
     frame_bounds,
     frame_operator,
     local_frames_to_fusion,
     transport_by_invertible,
     vector_frame_bounds,
     verify_four_way_equivalence,
+    whitened_bounds,
 )
 from kfr.generators import random_gram, random_invariant_family
 from kfr.krein import build_gram
 from kfr.linalg import frobenius
-from kfr.subspaces import J_ORTHOGONAL, ORTHOGONAL, Subspace, subspace_from_columns
+from kfr.subspaces import (
+    J_ORTHOGONAL,
+    ORTHOGONAL,
+    Subspace,
+    j_orthogonal_projection_gram,
+    orthogonal_projection,
+    subspace_from_columns,
+)
 
 
 def line(*entries):
@@ -81,6 +92,77 @@ class TestFrameOperator:
                 for w, p in zip(family.weights, projections)
             )
             assert float(k @ M @ k) == pytest.approx(direct, abs=1e-9 * max(1, direct))
+
+
+class TestAnalysisOperator:
+    @pytest.mark.parametrize("d", (6, 24))
+    @pytest.mark.parametrize(
+        "metric_name, kind",
+        [("plain", ORTHOGONAL), ("companion", ORTHOGONAL), ("companion", J_ORTHOGONAL)],
+    )
+    def test_gram_matches_projection_sum(self, d, metric_name, kind):
+        # reference: the frame operator summed from its definition
+        rng = np.random.default_rng(40 + d)
+        g = random_gram(rng, d)
+        family = random_invariant_family(
+            g, rng, 3, d // 3 + 1, weight_range=(0.5, 2.0)
+        )
+        G = np.eye(d) if metric_name == "plain" else g.abs_matrix
+        reference = np.zeros((d, d))
+        for weight, subspace in zip(family.weights, family.subspaces):
+            if kind == ORTHOGONAL:
+                P = orthogonal_projection(subspace, G).matrix
+            else:
+                P = j_orthogonal_projection_gram(subspace, g).matrix
+            reference += weight**2 * (P.T @ G @ P)
+        A = analysis_operator(family, G, kind, g)
+        assert A.shape == (sum(s.dim for s in family.subspaces), d)
+        M = frame_operator(family, G, kind, g)
+        assert frobenius(M - reference) <= 1e-12 * frobenius(reference)
+        assert frobenius(A.T @ A - reference) <= 1e-12 * frobenius(reference)
+
+    def test_companion_bounds_factor_no_dense_matrix_but_one(self, monkeypatch):
+        # |W|^{-1/2} comes from the Gram operator, so the only d x d
+        # eigensolve left is the whitened reduction itself
+        rng = np.random.default_rng(3)
+        g = random_gram(rng, 12)
+        family = random_invariant_family(g, rng, 3, 4)
+        sizes = []
+        original = kfr.linalg.symmetric_eig
+
+        def counting(matrix):
+            sizes.append(np.shape(matrix)[0])
+            return original(matrix)
+
+        for name, module in list(sys.modules.items()):
+            if name == "kfr" or name.startswith("kfr."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        bounds = frame_bounds(family, g.abs_matrix, J_ORTHOGONAL, g)
+        assert sizes.count(12) == 1
+        assert sizes.count(4) == 3
+        assert bounds.is_frame
+
+    def test_whitened_bounds_are_squared_singular_values(self):
+        rng = np.random.default_rng(13)
+        F = rng.standard_normal((9, 5))
+        sv = np.linalg.svd(F, compute_uv=False)
+        bounds = whitened_bounds(F)
+        assert bounds.lower == pytest.approx(sv[-1] ** 2, rel=1e-12)
+        assert bounds.upper == pytest.approx(sv[0] ** 2, rel=1e-12)
+        # fewer rows than columns: the lower bound is zero, no frame
+        wide = whitened_bounds(np.array([[3.0, 4.0, 0.0]]))
+        assert wide.lower == pytest.approx(0.0, abs=1e-14) and not wide.is_frame
+        assert wide.upper == pytest.approx(25.0, rel=1e-14)
+        # an already diagonal F^T F keeps its exact entries
+        exact = whitened_bounds(np.diag([0.5, 3.0]))
+        assert (exact.lower, exact.upper) == (0.25, 9.0)
+
+    def test_metric_not_definite_on_a_subspace(self):
+        family = WeightedSubspaceFamily((1.0,), (line(1.0, 0.0),))
+        with pytest.raises(np.linalg.LinAlgError):
+            analysis_operator(family, np.diag([-1.0, 1.0]))
 
 
 class TestFrameBounds:

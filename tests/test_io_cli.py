@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kfr
+import kfr.generators
 from kfr.cli import main
 from kfr.generators import make_instance_payload
 from kfr.io import (
@@ -332,26 +333,35 @@ class TestCli:
         # At d = 256 LAPACK splits work by thread count, so only a rerun
         # under the same count promises identical bytes.
         instance = tmp_path / "instance.json"
-        assert main(["gen", "--seed", "3", "--dim", "256", "--subspaces", "4",
-                     "--output", str(instance)]) == 0
+        gen_args = ["--seed", "3", "--dim", "256", "--subspaces", "4"]
+        assert main(["gen", *gen_args, "--output", str(instance)]) == 0
         source = os.path.dirname(os.path.dirname(kfr.__file__))
         path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
 
-        def check(threads, name):
+        def run(threads, name, *command):
             report = tmp_path / name
             done = subprocess.run(
-                [sys.executable, "-m", "kfr.cli", "check",
-                 "--input", str(instance), "--output", str(report)],
+                [sys.executable, "-m", "kfr.cli", *command, "--output", str(report)],
                 env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
                 timeout=300,
             )
             return done.returncode, report.read_bytes()
+
+        def check(threads, name):
+            return run(threads, name, "check", "--input", str(instance))
 
         one = check("1", "one.json")
         two = check("2", "two.json")
         assert check("2", "again.json") == two
         assert one[0] == two[0] == 0
         assert_equal_but_rounding(json.loads(one[1]), json.loads(two[1]))
+
+        # gen fixes the sign of every basis vector, so its numbers too
+        # depend on the thread count only at rounding level
+        gen_one = run("1", "gen-one.json", "gen", *gen_args)
+        gen_two = run("2", "gen-two.json", "gen", *gen_args)
+        assert gen_one[0] == gen_two[0] == 0
+        assert_equal_but_rounding(json.loads(gen_one[1]), json.loads(gen_two[1]))
 
     def test_output_file(self, tmp_path):
         path = write_instance(tmp_path, minimal_payload())
@@ -429,6 +439,53 @@ class TestCli:
 
     def test_missing_input(self):
         assert main(["analyze"]) == 1
+
+    def test_tol_reaches_every_frame_verdict(self, tmp_path, capsys):
+        # at frameTol 1e3 no family here is a frame (lower bound ~8e-3)
+        instance = str(tmp_path / "instance.json")
+        assert main(["gen", "--seed", "1", "--dim", "6", "--subspaces", "3",
+                     "--output", instance]) == 0
+
+        def verdicts(command, *flags):
+            assert main([command, "--input", instance, *flags]) == 0
+            sections = json.loads(capsys.readouterr().out)["sections"]
+            return [b["isFrame"] for b in sections.values()
+                    if isinstance(b, dict) and "isFrame" in b]
+
+        for command in ("equivalence", "transfer"):
+            assert verdicts(command) == [True] * 4
+            assert verdicts(command, "--tol", "1e3") == [False] * 4
+        # the sweep needs a plain-metric frame, which this tolerance denies
+        assert main(["sweep", "--input", instance, "--tol", "1e3"]) == 1
+        assert "not a frame" in capsys.readouterr().err
+
+    def test_krein_bounds_use_the_gram_factor_below_the_metric_floor(
+        self, tmp_path, capsys
+    ):
+        # |W| = diag(1, 1e-13) is within the Gram operator's kernel tolerance
+        # but below the 1e-12 floor of a freshly factored metric; the bounds
+        # come from the cached |W|^{-1/2} and match 2 eps / (1 + eps)
+        payload = minimal_payload()
+        payload["gram"] = [[1.0, 0.0], [0.0, -1e-13]]
+        payload["subspaces"] = [{"basis": [[1.0, 1.0]]}, {"basis": [[1.0, -1.0]]}]
+        path = write_instance(tmp_path, payload)
+        assert main(["analyze", "--metric", "krein", "--input", path]) == 0
+        bounds = json.loads(capsys.readouterr().out)["sections"]["bounds"]
+        assert bounds["lower"] == pytest.approx(2e-13 / (1.0 + 1e-13), rel=1e-9)
+        assert bounds["upper"] == pytest.approx(2.0, rel=1e-9)
+
+    def test_gen_caps_sizes_before_allocating(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            pytest.fail("an oversized gen reached the Gram sampler")
+
+        monkeypatch.setattr(kfr.generators, "random_gram", unreachable)
+        cap = kfr.generators.MAX_INSTANCE_SIZE
+        output = tmp_path / "never.json"
+        for flags in (["--dim", "100000"], ["--subspaces", "100000"],
+                      ["--dim", str(cap + 1)], ["--subspaces", str(cap + 1)]):
+            assert main(["gen", "--seed", "1", *flags, "--output", str(output)]) == 1
+            assert str(cap) in capsys.readouterr().err
+            assert not output.exists()
 
     def test_tol_flag_spectral(self, tmp_path, capsys):
         payload = minimal_payload()

@@ -187,6 +187,17 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize(np.eye(2), tol=0.0)
 
+    def test_column_signs_are_fixed(self):
+        # the largest-magnitude entry of every column is positive, so inputs
+        # whose singular vectors LAPACK may return with either sign agree
+        rng = np.random.default_rng(12)
+        C = rng.standard_normal((8, 3))
+        B = orthonormalize(C)
+        pivots = B[np.argmax(np.abs(B), axis=0), np.arange(3)]
+        assert np.all(pivots > 0.0)
+        assert frobenius(orthonormalize(-C) - B) <= 1e-12
+        assert np.array_equal(orthonormalize(-np.eye(3)[:, :2]), np.eye(3)[:, :2])
+
 
 class TestMatrixFunction:
     def test_abs_of_diagonal(self):

@@ -38,3 +38,44 @@ def test_pipeline_dimension_64():
     )
     assert abs(companion.lower - 1.0) <= 1e-8
     assert abs(companion.upper - 1.0) <= 1e-8
+
+
+#: The package's public names before ``kfr.__all__`` was derived from its
+#: imports; every one must stay importable from ``kfr`` and listed.
+PUBLIC_NAMES = (
+    "__version__",
+    "ConvergenceError", "EigenDecomposition", "EigenvalueDomainError",
+    "MetricError", "extremal_rayleigh", "matrix_function", "orthonormalize",
+    "symmetric_eig",
+    "GramOperator", "KernelError", "RegularityReport", "build_gram", "j_inner",
+    "j_norm", "norm_equivalence_constants", "w_inner",
+    "ComposedProjectionError", "DegenerateSubspaceError", "Projection",
+    "Subspace", "check_j_orthonormal", "is_projectively_complete",
+    "j_orthogonal_complement", "j_orthogonal_projection_composed",
+    "j_orthogonal_projection_gram", "j_orthonormal_basis",
+    "orthogonal_projection", "spans_equal", "subspace_from_columns",
+    "FrameBounds", "FourWayReport", "LocalFrameReport", "LocalFrameSystem",
+    "WeightedSubspaceFamily", "frame_bounds", "frame_operator",
+    "local_frames_to_fusion", "transport_by_invertible", "vector_frame_bounds",
+    "verify_four_way_equivalence",
+    "RegularityError", "SweepResult", "TransferReport", "diagonal_gram_family",
+    "singular_sweep", "transfer_map_hilbert_to_krein",
+    "transfer_map_krein_to_hilbert", "transfer_regular",
+    "AtomicMeasure", "KreinDecomposition", "SpectralRepresentation",
+    "krein_decomposition", "ortho_basis_of_subspaces", "spectral_representation",
+)
+
+
+def test_public_names_are_importable_and_listed():
+    import types
+
+    import kfr
+
+    assert len(set(kfr.__all__)) == len(kfr.__all__)
+    assert set(PUBLIC_NAMES) <= set(kfr.__all__)
+    assert "analysis_operator" in kfr.__all__
+    for name in kfr.__all__:
+        assert not isinstance(getattr(kfr, name), types.ModuleType), name
+    namespace = {}
+    exec("from kfr import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
