@@ -4,9 +4,14 @@ Instances and reports are JSON-compatible object trees. Serialization is
 canonical: floats are printed with 17 significant digits in scientific
 notation (enough for exact double round trips), keys keep construction
 order, and indentation is fixed, so identical values produce identical
-bytes. Parsing validates structure eagerly and reports the offending
-field; a gram matrix that is asymmetric within tolerance is symmetrized
-by averaging and the repair is recorded as an instance warning.
+bytes. The float format is defined once, in ``FLOAT_FORMAT``; a list whose
+elements are all exact, finite ``float`` objects (a matrix row, a basis
+vector) is formatted in one call, and every other list element by element,
+with the same bytes. Parsing validates structure eagerly and reports the
+offending field: each number row is checked type-exactly in one pass (a
+JSON ``true`` is not a number) and converted to a float array in one call.
+A gram matrix that is asymmetric within tolerance is symmetrized by
+averaging and the repair is recorded as an instance warning.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ __all__ = [
 
 #: Relative asymmetry allowed in a loaded gram matrix before rejection.
 SYMMETRY_TOL = 1e-12
+
+#: Types ``json.loads`` gives numbers, tested type-exactly: ``bool`` is not
+#: among them, although it subclasses ``int``.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 class InstanceParseError(Exception):
@@ -77,10 +86,14 @@ class ProblemInstance:
             block.flags.writeable = False
 
 
+#: The one float format: 17 significant digits in scientific notation.
+FLOAT_FORMAT = "%.16e"
+
+
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite number {value!r}")
-    return f"{value:.16e}"
+    return FLOAT_FORMAT % value
 
 
 def _write_canonical(obj, pieces: list[str], indent: int, level: int):
@@ -101,6 +114,13 @@ def _write_canonical(obj, pieces: list[str], indent: int, level: int):
     elif isinstance(obj, (list, tuple)):
         if not obj:
             pieces.append("[]")
+            return
+        # a row of exact, finite floats is formatted in one call; any other
+        # list, or a non-finite value (which raises), goes element by element
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            separator = ",\n" + inner
+            row = separator.join([FLOAT_FORMAT] * len(obj)) % tuple(obj)
+            pieces.append(f"[\n{inner}{row}\n{pad}]")
             return
         pieces.append("[\n")
         for index, value in enumerate(obj):
@@ -132,10 +152,6 @@ def _require(mapping: dict, key: str, kind, where: str):
     if key not in mapping:
         raise InstanceParseError(f"missing field {key!r} in {where}")
     value = mapping[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InstanceParseError(f"field {key!r} in {where} must be a number")
-        return float(value)
     if not isinstance(value, kind):
         raise InstanceParseError(
             f"field {key!r} in {where} must be {kind.__name__}"
@@ -143,15 +159,35 @@ def _require(mapping: dict, key: str, kind, where: str):
     return value
 
 
-def _number_row(values, length: int, where: str) -> list[float]:
-    if not isinstance(values, list) or len(values) != length:
-        raise InstanceParseError(f"{where} must be a list of {length} numbers")
-    row = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InstanceParseError(f"{where} must contain only numbers")
-        row.append(float(value))
-    return row
+def _number(value, where: str) -> float:
+    if type(value) not in _NUMBER_TYPES:
+        raise InstanceParseError(f"{where} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InstanceValidationError(f"{where} is beyond double range") from None
+
+
+def _number_rows(rows: list, length: int, where: str) -> np.ndarray:
+    """Rows of ``length`` JSON numbers as a float array; ``where`` names row
+    ``i`` through ``where.format(i)``."""
+    for index, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != length:
+            raise InstanceParseError(
+                f"{where.format(index)} must be a list of {length} numbers"
+            )
+        if not _NUMBER_TYPES.issuperset(map(type, row)):
+            raise InstanceParseError(
+                f"{where.format(index)} must contain only numbers"
+            )
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:
+        # an integer beyond double range: find and name its row
+        for index, row in enumerate(rows):
+            for value in row:
+                _number(value, f"an entry of {where.format(index)}")
+        raise
 
 
 def parse_instance_text(text: str, source: str = "<string>") -> ProblemInstance:
@@ -174,12 +210,7 @@ def parse_instance_text(text: str, source: str = "<string>") -> ProblemInstance:
         raise InstanceValidationError(
             f"gram must have {dimension} rows, found {len(gram_rows)}"
         )
-    gram = np.array(
-        [
-            _number_row(row, dimension, f"gram row {index}")
-            for index, row in enumerate(gram_rows)
-        ]
-    )
+    gram = _number_rows(gram_rows, dimension, "gram row {}")
     if not np.all(np.isfinite(gram)):
         raise InstanceValidationError("gram entries must be finite")
 
@@ -207,11 +238,9 @@ def parse_instance_text(text: str, source: str = "<string>") -> ProblemInstance:
         vectors = _require(entry, "basis", list, f"subspace {index}")
         if not vectors:
             raise InstanceValidationError(f"subspace {index} has an empty basis")
-        columns = [
-            _number_row(vector, dimension, f"subspace {index} vector {j}")
-            for j, vector in enumerate(vectors)
-        ]
-        blocks.append(np.array(columns, dtype=float).T)
+        blocks.append(
+            _number_rows(vectors, dimension, f"subspace {index} vector {{}}").T
+        )
 
     weight_values = _require(data, "weights", list, source)
     if len(weight_values) != len(blocks):
@@ -220,9 +249,7 @@ def parse_instance_text(text: str, source: str = "<string>") -> ProblemInstance:
         )
     weights = []
     for index, value in enumerate(weight_values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InstanceParseError(f"weight {index} must be a number")
-        weight = float(value)
+        weight = _number(value, f"weight {index}")
         if not (math.isfinite(weight) and weight > 0.0):
             raise InstanceValidationError("weights must be positive")
         weights.append(weight)
@@ -232,25 +259,25 @@ def parse_instance_text(text: str, source: str = "<string>") -> ProblemInstance:
         raw = data["options"]
         if not isinstance(raw, dict):
             raise InstanceParseError("options must be an object")
-        eps_list = raw.get("sweepEpsilons", list(DEFAULT_SWEEP_EPSILONS))
-        if not isinstance(eps_list, list) or not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool)
-            for e in eps_list
+        eps_list = raw.get("sweepEpsilons", list(options.sweep_epsilons))
+        if not isinstance(eps_list, list) or not _NUMBER_TYPES.issuperset(
+            map(type, eps_list)
         ):
             raise InstanceParseError("options.sweepEpsilons must be numbers")
-        options = InstanceOptions(
-            epsilon_threshold=float(raw.get("epsilonThreshold", 1e-6)),
-            cluster_tol=float(raw.get("clusterTol", 1e-8)),
-            frame_tol=float(raw.get("frameTol", 1e-10)),
-            sweep_epsilons=tuple(float(e) for e in eps_list),
-        )
-        for name, value in (
+        epsilons = tuple(_number(e, "options.sweepEpsilons") for e in eps_list)
+        if not all(map(math.isfinite, epsilons)):
+            raise InstanceValidationError("options.sweepEpsilons must be finite")
+        tolerances = []
+        for name, default in (
             ("epsilonThreshold", options.epsilon_threshold),
             ("clusterTol", options.cluster_tol),
             ("frameTol", options.frame_tol),
         ):
+            value = _number(raw.get(name, default), f"options.{name}")
             if not (math.isfinite(value) and value > 0.0):
                 raise InstanceValidationError(f"options.{name} must be positive")
+            tolerances.append(value)
+        options = InstanceOptions(*tolerances, sweep_epsilons=epsilons)
 
     return ProblemInstance(
         dimension=dimension,
@@ -276,10 +303,9 @@ def instance_payload(instance: ProblemInstance) -> dict:
     """Instance as a canonical-serializable object tree."""
     return {
         "dimension": instance.dimension,
-        "gram": [[float(v) for v in row] for row in instance.gram],
+        "gram": instance.gram.tolist(),
         "subspaces": [
-            {"basis": [[float(v) for v in column] for column in block.T]}
-            for block in instance.subspace_columns
+            {"basis": block.T.tolist()} for block in instance.subspace_columns
         ],
         "weights": [float(w) for w in instance.weights],
         "options": {

@@ -263,6 +263,12 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["sections"]["epsilons"] == [1e-1, 1e-2, 1e-3, 1e-4]
 
+    @pytest.mark.parametrize("flag", ["nan,0.1,0.01,0.001", "0.1,0.01,0.001,inf"])
+    def test_sweep_rejects_non_finite_epsilons_flag(self, tmp_path, capsys, flag):
+        path = write_instance(tmp_path, minimal_payload())
+        assert main(["sweep", "--input", path, "--epsilons", flag]) == 1
+        assert "--epsilons must be finite" in capsys.readouterr().err
+
     def test_sweep_custom_family_file(self, tmp_path, capsys):
         instance_path = write_instance(tmp_path, minimal_payload())
         members = []
@@ -493,3 +499,170 @@ class TestCli:
         assert main(["spectral", "--input", path, "--tol", "1e-6"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["sections"]["maxMultiplicity"] == 2
+
+
+def _reference_write(obj, pieces, indent, level):
+    # the per-element canonical writer, kept as the reference for the bytes
+    # of ``dumps_canonical``
+    pad = " " * (indent * level)
+    inner = " " * (indent * (level + 1))
+    if isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        for index, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise ValueError(f"object keys must be strings, got {key!r}")
+            pieces.append(f"{inner}{json.dumps(key)}: ")
+            _reference_write(value, pieces, indent, level + 1)
+            pieces.append(",\n" if index < len(obj) - 1 else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for index, value in enumerate(obj):
+            pieces.append(inner)
+            _reference_write(value, pieces, indent, level + 1)
+            pieces.append(",\n" if index < len(obj) - 1 else "\n")
+        pieces.append(pad + "]")
+    elif isinstance(obj, bool) or obj is None:
+        pieces.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        pieces.append(str(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite number {obj!r}")
+        pieces.append(f"{obj:.16e}")
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    else:
+        raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def reference_dumps(obj) -> str:
+    pieces: list[str] = []
+    _reference_write(obj, pieces, indent=2, level=0)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+GOLDEN_PAYLOADS = {
+    "float rows": {
+        "gram": np.random.default_rng(3).standard_normal((7, 7)).tolist(),
+        "row": [0.1 + 0.2, 1.0 / 3.0, -2.5e17, 1e-300],
+    },
+    "ints among floats": [[1.0, 2, 3.5], [4, 5, 6], [7.0, -8, 0]],
+    "bools and None": [[1.0, True, 2.0], [None, 1.0], [False], [True, None]],
+    "extreme floats": [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+    "numpy floats": [[np.float64(0.1), np.float64(-2.0)], [1.0, np.float64(3.0)]],
+    "tuples": {"pair": (1.0, 2.0), "mixed": (1.0, "a", 2), "nested": ((0.5,), ())},
+    "empty and nested": [[], [[]], [[1.0], [[2.0, 3.0]]], {}, {"a": []}],
+    "non-ASCII strings": {"näme": ["αβγ", "日本", " "], "x": [1.5, "é"]},
+}
+
+
+class TestCanonicalWriterGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
+    def test_bytes_match_the_per_element_writer(self, name):
+        payload = GOLDEN_PAYLOADS[name]
+        assert dumps_canonical(payload) == reference_dumps(payload)
+
+    def test_generated_instance_bytes_match(self):
+        payload = make_instance_payload(11, 9, 3)
+        assert dumps_canonical(payload) == reference_dumps(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_float_row_raises_the_same_error(self, bad):
+        payload = {"row": [1.0, 2.0, bad, math.nan]}
+        with pytest.raises(ValueError) as expected:
+            reference_dumps(payload)
+        with pytest.raises(ValueError) as raised:
+            dumps_canonical(payload)
+        assert str(raised.value) == str(expected.value)
+        assert "non-finite" in str(raised.value)
+
+    def test_integer_gram_parses_to_float64(self):
+        payload = minimal_payload()
+        payload["gram"] = [[1, 0], [0, -2]]
+        instance = parse_instance_text(json.dumps(payload))
+        assert instance.gram.dtype == np.float64
+
+    def test_large_integers_round_as_float_rounds_them(self):
+        entries = [2**53 + 1, -(2**63) - 1, 2**64 + 1, 10**300 + 1]
+        payload = {
+            "dimension": 4,
+            "gram": np.eye(4).tolist(),
+            "subspaces": [{"basis": [entries]}],
+            "weights": [1.0],
+        }
+        instance = parse_instance_text(json.dumps(payload))
+        assert instance.subspace_columns[0][:, 0].tolist() == [
+            float(v) for v in entries
+        ]
+
+    def test_digest_is_pinned(self):
+        # no linear algebra reaches this digest: diagonal W, unit basis
+        # vectors, an integer entry and an integer weight
+        payload = {
+            "dimension": 3,
+            "gram": [[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
+            "subspaces": [
+                {"basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+                {"basis": [[0.0, 1, 0.0], [0.0, 0.0, 1.0]]},
+            ],
+            "weights": [1.0, 2],
+        }
+        instance = parse_instance_text(json.dumps(payload))
+        assert instance_digest(instance) == (
+            "sha256:b809e222812c3ec61f9cd278bb466d6703b347cdf7025562acc94a7bb2b63795"
+        )
+
+
+BEYOND_DOUBLE = 10**400
+
+#: Edits of a valid instance: the path to the replaced value, the value, and
+#: the field the error must name.
+HOSTILE_NUMBERS = {
+    "gram-integer-overflow": (("gram", 0, 1), BEYOND_DOUBLE, "gram row 0"),
+    "basis-integer-overflow": (
+        ("subspaces", 1, "basis", 0, 0),
+        BEYOND_DOUBLE,
+        "subspace 1 vector 0",
+    ),
+    "weight-integer-overflow": (("weights", 1), BEYOND_DOUBLE, "weight 1"),
+    "cluster-tol-null": (("options", "clusterTol"), None, "options.clusterTol"),
+    "frame-tol-list": (("options", "frameTol"), [1], "options.frameTol"),
+    "sweep-epsilon-nan": (
+        ("options", "sweepEpsilons", 1),
+        math.nan,
+        "options.sweepEpsilons",
+    ),
+    "sweep-epsilon-integer-overflow": (
+        ("options", "sweepEpsilons", 1),
+        BEYOND_DOUBLE,
+        "options.sweepEpsilons",
+    ),
+}
+
+
+class TestHostileNumbers:
+    """Numbers JSON can hold but an instance cannot end in exit 1, naming
+    the field, and never in a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_NUMBERS))
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "check"])
+    def test_exit_1_naming_the_field(self, tmp_path, capsys, case, command):
+        base = tmp_path / "base.json"
+        assert main(["gen", "--seed", "1", "--dim", "6", "--output", str(base)]) == 0
+        payload = json.loads(base.read_text(encoding="utf-8"))
+        path, value, field = HOSTILE_NUMBERS[case]
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        instance = write_instance(tmp_path, payload, name="hostile.json")
+        assert main([command, "--input", instance]) == 1
+        assert field in capsys.readouterr().err
