@@ -18,6 +18,7 @@ from types import ModuleType as _ModuleType
 from .fusion import (
     FrameBounds,
     FourWayReport,
+    FrameGeometry,
     LocalFrameReport,
     LocalFrameSystem,
     WeightedSubspaceFamily,
@@ -76,12 +77,14 @@ from .subspaces import (
 from .transfer import (
     RegularityError,
     SweepResult,
+    TransferMapsReport,
     TransferReport,
     diagonal_gram_family,
     singular_sweep,
     transfer_map_hilbert_to_krein,
     transfer_map_krein_to_hilbert,
     transfer_regular,
+    verify_transfer_maps,
 )
 
 #: Every name imported above, each written once.

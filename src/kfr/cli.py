@@ -29,10 +29,9 @@ import numpy as np
 from . import __version__
 from .fusion import (
     FrameBounds,
-    analysis_operator,
+    FrameGeometry,
     frame_bounds,
     verify_four_way_equivalence,
-    whitened_bounds,
 )
 from .generators import make_instance_payload
 from .io import (
@@ -63,19 +62,16 @@ from .subspaces import (
     DegenerateSubspaceError,
     J_ORTHOGONAL,
     ORTHOGONAL,
-    is_projectively_complete,
-    j_orthogonal_projection_composed,
-    j_orthogonal_projection_gram,
+    composed_projection_from_check,
+    j_projection_from_check,
     orthogonal_projection,
-    spans_equal,
 )
 from .transfer import (
     RegularityError,
     diagonal_gram_family,
     singular_sweep,
-    transfer_map_hilbert_to_krein,
-    transfer_map_krein_to_hilbert,
     transfer_regular,
+    verify_transfer_maps,
 )
 
 EXIT_OK = 0
@@ -126,10 +122,6 @@ def _finite_or_none(value: float):
     return value if math.isfinite(value) else None
 
 
-def _close(a: float, b: float, rel: float = 1e-8) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-
-
 def _apply_tol(instance: ProblemInstance, args) -> ProblemInstance:
     if args.tol is None:
         return instance
@@ -146,10 +138,8 @@ def run_analyze(instance: ProblemInstance, args) -> tuple[dict, int]:
     family = build_instance_family(instance)
     tol = instance.options.frame_tol
     if args.metric == "krein":
-        gram = build_instance_gram(instance)
-        bounds = frame_bounds(
-            family, gram.abs_matrix, J_ORTHOGONAL, gram, frame_tol=tol
-        )
+        geometry = FrameGeometry(family, build_instance_gram(instance))
+        bounds = geometry.bounds(J_ORTHOGONAL, frame_tol=tol)
     else:
         bounds = frame_bounds(
             family, np.eye(instance.dimension), ORTHOGONAL, frame_tol=tol
@@ -162,7 +152,7 @@ def run_equivalence(instance: ProblemInstance, args) -> tuple[dict, int]:
     family = build_instance_family(instance)
     gram = build_instance_gram(instance)
     report = verify_four_way_equivalence(
-        family, gram, frame_tol=instance.options.frame_tol
+        FrameGeometry(family, gram), frame_tol=instance.options.frame_tol
     )
     sections = {
         "qOnSubspaces": _bounds_payload(report.q_on_subspaces),
@@ -180,36 +170,15 @@ def run_equivalence(instance: ProblemInstance, args) -> tuple[dict, int]:
 def run_transfer(instance: ProblemInstance, args) -> tuple[dict, int]:
     family = build_instance_family(instance)
     gram = build_instance_gram(instance)
-    tol = instance.options.frame_tol
-    report = transfer_regular(family, gram, frame_tol=tol)
-
-    forward = transfer_map_hilbert_to_krein(family, gram)
-    forward_bounds = frame_bounds(
-        forward, gram.abs_matrix, J_ORTHOGONAL, gram, frame_tol=tol
+    result = verify_transfer_maps(
+        FrameGeometry(family, gram), frame_tol=instance.options.frame_tol
     )
-    forward_ok = _close(
-        forward_bounds.lower, report.hilbert_bounds.lower
-    ) and _close(forward_bounds.upper, report.hilbert_bounds.upper)
-
-    backward = transfer_map_krein_to_hilbert(family, gram)
-    backward_bounds = frame_bounds(
-        backward, np.eye(gram.dim), ORTHOGONAL, frame_tol=tol
-    )
-    backward_ok = _close(
-        backward_bounds.lower, report.krein_bounds.lower
-    ) and _close(backward_bounds.upper, report.krein_bounds.upper)
-
-    round_trip = transfer_map_krein_to_hilbert(forward, gram)
-    round_trip_ok = all(
-        spans_equal(before, after, tol=1e-9)
-        for before, after in zip(family.subspaces, round_trip.subspaces)
-    )
-
+    report = result.regular
     checks = {
         "sandwichHolds": report.sandwich_holds,
-        "forwardTransferPreservesBounds": forward_ok,
-        "backwardTransferPreservesBounds": backward_ok,
-        "transferMapsInvertOnSpans": round_trip_ok,
+        "forwardTransferPreservesBounds": result.forward_preserves_bounds,
+        "backwardTransferPreservesBounds": result.backward_preserves_bounds,
+        "transferMapsInvertOnSpans": result.maps_invert_on_spans,
     }
     sections = {
         "hilbertBounds": _bounds_payload(report.hilbert_bounds),
@@ -222,8 +191,8 @@ def run_transfer(instance: ProblemInstance, args) -> tuple[dict, int]:
             "low": report.stated_interval[0],
             "high": report.stated_interval[1],
         },
-        "forwardImageBounds": _bounds_payload(forward_bounds),
-        "backwardImageBounds": _bounds_payload(backward_bounds),
+        "forwardImageBounds": _bounds_payload(result.forward_bounds),
+        "backwardImageBounds": _bounds_payload(result.backward_bounds),
         "checks": checks,
     }
     code = EXIT_OK if all(checks.values()) else EXIT_THEOREM
@@ -326,13 +295,10 @@ def _spectral_checks(gram, cluster_tol: float):
     )
     sum_residual = frobenius(projection_sum - identity)
     decomposition = krein_decomposition(gram, representation)
-    krein_bounds = frame_bounds(
-        decomposition.family(), gram.abs_matrix, J_ORTHOGONAL, gram
-    )
+    krein_bounds = FrameGeometry(decomposition.family(), gram).bounds(J_ORTHOGONAL)
     checks = {
         "projectionsSumToIdentity": sum_residual <= 1e-9,
-        "kreinParseval": _close(krein_bounds.lower, 1.0)
-        and _close(krein_bounds.upper, 1.0),
+        "kreinParseval": krein_bounds.matches(1.0, 1.0),
     }
     return representation, family, decomposition, sum_residual, krein_bounds, checks
 
@@ -422,24 +388,25 @@ def run_check(instance: ProblemInstance, args) -> tuple[dict, int]:
         np.all((lower_const - 1e-9 <= values) & (values <= upper_const + 1e-9))
     )
 
+    geometry = FrameGeometry(family, gram)
     projection_ok = True
     cross_ok = True
-    for index, subspace in enumerate(family.subspaces):
-        completeness = is_projectively_complete(subspace, gram)
+    for index, (subspace, completeness) in enumerate(
+        zip(family.subspaces, geometry.checks)
+    ):
         if not completeness:
             raise DegenerateSubspaceError(
                 f"subspace {index} is degenerate under the indefinite form",
                 witness=completeness.witness,
             )
-        direct = j_orthogonal_projection_gram(subspace, gram)
-        Q = direct.matrix
+        Q = j_projection_from_check(subspace, gram, completeness).matrix
         if (
             frobenius(Q @ Q - Q) > 1e-9 * max(1.0, frobenius(Q))
             or frobenius(gram.matrix @ Q - Q.T @ gram.matrix) > 1e-9
         ):
             projection_ok = False
         try:
-            composed = j_orthogonal_projection_composed(subspace, gram)
+            composed = composed_projection_from_check(subspace, gram, completeness)
             if frobenius(composed.matrix - Q) > 1e-8 * max(1.0, frobenius(Q)):
                 cross_ok = False
         except ComposedProjectionError:
@@ -450,15 +417,15 @@ def run_check(instance: ProblemInstance, args) -> tuple[dict, int]:
     checks["projectionIdentities"] = projection_ok
     checks["projectionCrossCheck"] = cross_ok
 
-    A = analysis_operator(family, gram.abs_matrix, J_ORTHOGONAL, gram)
-    bounds = whitened_bounds(A @ gram.inv_sqrt_abs)
+    A = geometry.analysis_operator(J_ORTHOGONAL)
+    bounds = geometry.bounds(J_ORTHOGONAL)
     k = rng.standard_normal((200, d))
     values = np.sum((k @ A.T) ** 2, axis=1) / np.sum((k @ gram.abs_matrix) * k, axis=1)
     checks["definitionConsistency"] = bool(
         np.all((bounds.lower - 1e-8 <= values) & (values <= bounds.upper + 1e-8))
     )
 
-    four_way = verify_four_way_equivalence(family, gram)
+    four_way = verify_four_way_equivalence(geometry)
     checks["fourWayEquivalence"] = four_way.bounds_agree
 
     shared = _spectral_checks(gram, instance.options.cluster_tol)[-1]
@@ -466,9 +433,7 @@ def run_check(instance: ProblemInstance, args) -> tuple[dict, int]:
     checks["spectralKreinParseval"] = shared["kreinParseval"]
 
     if gram.is_regular:
-        checks["regularTransferSandwich"] = transfer_regular(
-            family, gram
-        ).sandwich_holds
+        checks["regularTransferSandwich"] = transfer_regular(geometry).sandwich_holds
     else:
         notes.append("gram operator is near-singular; transfer sandwich skipped")
 

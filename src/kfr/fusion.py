@@ -3,9 +3,12 @@
 Every bound comes from one analysis operator ``A`` (Casazza and Kutyniok,
 "Frames of subspaces", 2004) with ``A^T A = sum_i x_i^2 P_i^T G P_i``, the
 frame operator under a metric ``G``. Optimal bounds are the extreme
-eigenvalues of ``F^T F`` for ``F = A G^{-1/2}``, with ``G^{-1/2}`` the cached
-``|W|^{-1/2}`` of a Gram operator when ``G = |W|``; they are exact, not
+eigenvalues of ``F^T F`` for ``F = A G^{-1/2}``; they are exact, not
 certified, so every theorem check is as tight as the arithmetic allows.
+
+Companion-metric bounds (``G = |W|``) come from one :class:`FrameGeometry`
+per (family, Gram operator), which keeps the factors more than one bound
+reads, so no member's compressed form is factored twice.
 
 Projections come in two kinds, matching the two frame-of-subspaces
 definitions: metric-orthogonal projections for a plain or companion inner
@@ -15,19 +18,23 @@ operator.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .krein import GramOperator
 from .linalg import inverse_sqrt_of_metric, orthonormalize, symmetric_eig, symmetrize
 from .subspaces import (
+    CompletenessCheck,
     DegenerateSubspaceError,
     J_ORTHOGONAL,
     ORTHOGONAL,
     Subspace,
+    is_projectively_complete,
     j_orthogonal_projection_gram,
+    j_projection_from_check,
     orthogonal_projection,
     subspace_from_columns,
 )
@@ -37,6 +44,7 @@ __all__ = [
     "TIGHT_TOL",
     "WeightedSubspaceFamily",
     "FrameBounds",
+    "FrameGeometry",
     "FourWayReport",
     "LocalFrameSystem",
     "LocalFrameReport",
@@ -102,6 +110,11 @@ class FrameBounds:
     is_tight: bool
     is_parseval: bool
 
+    def matches(self, lower: float, upper: float) -> bool:
+        """Whether both bounds equal ``(lower, upper)`` to 1e-8 of ``max(1, |x|)``."""
+        pairs = ((self.lower, lower), (self.upper, upper))
+        return all(abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b)) for a, b in pairs)
+
 
 def classify_bounds(
     lower: float,
@@ -114,6 +127,17 @@ def classify_bounds(
     is_tight = is_frame and (upper - lower) <= tight_tol * upper
     is_parseval = is_tight and abs(lower - 1.0) <= tight_tol
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
+
+
+def _stack(family: WeightedSubspaceFamily, G: np.ndarray, projections) -> np.ndarray:
+    # a generator of projections keeps each P_i before its own factorization,
+    # so the first member that fails is the one reported
+    blocks = []
+    for weight, subspace, P in zip(family.weights, family.subspaces, projections):
+        B = subspace.basis
+        root = np.linalg.cholesky(symmetrize(B.T @ G @ B))
+        blocks.append(weight * (root.T @ (B.T @ P)))
+    return np.vstack(blocks)
 
 
 def analysis_operator(
@@ -134,16 +158,13 @@ def analysis_operator(
         raise ValueError(f"unknown projection kind {kind!r}")
     if kind == J_ORTHOGONAL and gram is None:
         raise ValueError("J-orthogonal projections need a Gram operator")
-    blocks = []
-    for weight, subspace in zip(family.weights, family.subspaces):
-        if kind == ORTHOGONAL:
-            P = orthogonal_projection(subspace, G).matrix
-        else:
-            P = j_orthogonal_projection_gram(subspace, gram).matrix
-        B = subspace.basis
-        root = np.linalg.cholesky(symmetrize(B.T @ G @ B))
-        blocks.append(weight * (root.T @ (B.T @ P)))
-    return np.vstack(blocks)
+    if kind == ORTHOGONAL:
+        projections = (orthogonal_projection(s, G).matrix for s in family.subspaces)
+    else:
+        projections = (
+            j_orthogonal_projection_gram(s, gram).matrix for s in family.subspaces
+        )
+    return _stack(family, G, projections)
 
 
 def frame_operator(
@@ -157,13 +178,81 @@ def frame_operator(
     return symmetrize(A.T @ A)
 
 
+def _extreme_eigenvalues(whitened) -> tuple[float, float]:
+    values = symmetric_eig(whitened.T @ whitened).eigenvalues
+    return float(values[0]), float(values[-1])
+
+
 def whitened_bounds(
     whitened, frame_tol: float = FRAME_TOL, tight_tol: float = TIGHT_TOL
 ) -> FrameBounds:
     """Bounds of a whitened analysis operator ``F``: the extreme eigenvalues
     of ``F^T F`` (the lower one zero when ``F`` has fewer rows than columns)."""
-    values = symmetric_eig(whitened.T @ whitened).eigenvalues
-    return classify_bounds(float(values[0]), float(values[-1]), frame_tol, tight_tol)
+    return classify_bounds(*_extreme_eigenvalues(whitened), frame_tol, tight_tol)
+
+
+@dataclass(frozen=True, eq=False)
+class FrameGeometry:
+    """A family bound to a Gram operator. Each quantity of its companion-metric
+    bounds is computed on first use and kept: the members' completeness checks,
+    the analysis operator and its whitened extremes per projection kind.
+    Tolerances only classify the kept extremes."""
+
+    family: WeightedSubspaceFamily
+    gram: GramOperator
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
+    _extremes: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.family.ambient_dim != self.gram.dim:
+            raise ValueError("family and Gram operator dimensions differ")
+
+    @functools.cached_property
+    def checks(self) -> tuple[CompletenessCheck, ...]:
+        """Projective completeness of each member, in family order."""
+        return tuple(
+            is_projectively_complete(s, self.gram) for s in self.family.subspaces
+        )
+
+    def mapped(self) -> FrameGeometry:
+        """A new geometry of the J-image family ``{J V_i}``, same weights. It is
+        not kept: its factors would outlive the one check that reads them."""
+        images = tuple(
+            subspace_from_columns(self.gram.symmetry @ s.basis)
+            for s in self.family.subspaces
+        )
+        return FrameGeometry(
+            WeightedSubspaceFamily(self.family.weights, images), self.gram
+        )
+
+    def analysis_operator(self, kind: str) -> np.ndarray:
+        """Companion-metric analysis operator for one projection kind."""
+        if kind not in self._operators:
+            G, subspaces = self.gram.abs_matrix, self.family.subspaces
+            if kind == ORTHOGONAL:
+                projections = (orthogonal_projection(s, G).matrix for s in subspaces)
+            elif kind == J_ORTHOGONAL:
+                projections = (
+                    j_projection_from_check(s, self.gram, check).matrix
+                    for s, check in zip(subspaces, self.checks)
+                )
+            else:
+                raise ValueError(f"unknown projection kind {kind!r}")
+            self._operators[kind] = _stack(self.family, G, projections)
+        return self._operators[kind]
+
+    def extremes(self, kind: str) -> tuple[float, float]:
+        """Extreme eigenvalues of ``F^T F`` for ``F = A |W|^{-1/2}``."""
+        if kind not in self._extremes:
+            whitened = self.analysis_operator(kind) @ self.gram.inv_sqrt_abs
+            self._extremes[kind] = _extreme_eigenvalues(whitened)
+        return self._extremes[kind]
+
+    def bounds(
+        self, kind: str, frame_tol: float = FRAME_TOL, tight_tol: float = TIGHT_TOL
+    ) -> FrameBounds:
+        """Optimal companion-metric bounds, classified by the tolerances."""
+        return classify_bounds(*self.extremes(kind), frame_tol, tight_tol)
 
 
 def frame_bounds(
@@ -177,11 +266,10 @@ def frame_bounds(
     """Optimal frame bounds: extremes of ``|A k|^2 / k^T G k``."""
     G = symmetrize(metric)
     if gram is not None and np.array_equal(G, gram.abs_matrix):
-        root = gram.inv_sqrt_abs  # |W| is not factored again
-    else:
-        root = inverse_sqrt_of_metric(G)
+        return FrameGeometry(family, gram).bounds(kind, frame_tol, tight_tol)
+    root = None if np.array_equal(G, np.eye(len(G))) else inverse_sqrt_of_metric(G)
     A = analysis_operator(family, G, kind, gram)
-    return whitened_bounds(A @ root, frame_tol, tight_tol)
+    return whitened_bounds(A if root is None else A @ root, frame_tol, tight_tol)
 
 
 def vector_frame_bounds(
@@ -230,18 +318,8 @@ class FourWayReport:
         )
 
 
-def _mapped_family(
-    family: WeightedSubspaceFamily, gram: GramOperator
-) -> WeightedSubspaceFamily:
-    mapped = tuple(
-        subspace_from_columns(gram.symmetry @ s.basis) for s in family.subspaces
-    )
-    return WeightedSubspaceFamily(family.weights, mapped)
-
-
 def verify_four_way_equivalence(
-    family: WeightedSubspaceFamily,
-    gram: GramOperator,
+    geometry: FrameGeometry,
     rel_tol: float = 1e-8,
     frame_tol: float = FRAME_TOL,
 ) -> FourWayReport:
@@ -256,21 +334,18 @@ def verify_four_way_equivalence(
     rounding noise of the eigensolve, where a purely relative comparison
     would demand more precision than double arithmetic carries.
     """
-    if family.ambient_dim != gram.dim:
-        raise ValueError("family and Gram operator dimensions differ")
-    metric = gram.abs_matrix
-    mapped = _mapped_family(family, gram)
+    mapped = geometry.mapped()
     labels_and_calls = (
-        ("q on subspaces", family, J_ORTHOGONAL),
+        ("q on subspaces", geometry, J_ORTHOGONAL),
         ("q on mapped subspaces", mapped, J_ORTHOGONAL),
-        ("p on subspaces", family, ORTHOGONAL),
+        ("p on subspaces", geometry, ORTHOGONAL),
         ("p on mapped subspaces", mapped, ORTHOGONAL),
     )
     results: list[FrameBounds | None] = []
     degeneracies: list[str] = []
-    for label, fam, kind in labels_and_calls:
+    for label, side, kind in labels_and_calls:
         try:
-            results.append(frame_bounds(fam, metric, kind, gram, frame_tol))
+            results.append(side.bounds(kind, frame_tol))
         except DegenerateSubspaceError as exc:
             results.append(None)
             degeneracies.append(f"{label}: {exc}")
@@ -393,7 +468,7 @@ def local_frames_to_fusion(
 
     family = WeightedSubspaceFamily(system.weights, tuple(spans))
     try:
-        fusion = frame_bounds(family, gram.abs_matrix, J_ORTHOGONAL, gram, frame_tol)
+        fusion = FrameGeometry(family, gram).bounds(J_ORTHOGONAL, frame_tol)
     except DegenerateSubspaceError as exc:
         issues.append(f"fusion family degenerates: {exc}")
         fusion = classify_bounds(0.0, math.inf, frame_tol)

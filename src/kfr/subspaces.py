@@ -19,15 +19,14 @@ projection identities instead of silently returning a non-projection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .krein import GramOperator, w_inner
 from .linalg import (
+    EigenDecomposition,
     MetricError,
-    apply_spectral_function,
     frobenius,
     orthonormalize,
     symmetric_eig,
@@ -45,8 +44,9 @@ __all__ = [
     "subspace_from_columns",
     "spans_equal",
     "orthogonal_projection",
-    "orthonormalize_in_metric",
+    "j_projection_from_check",
     "j_orthogonal_projection_gram",
+    "composed_projection_from_check",
     "j_orthogonal_projection_composed",
     "j_orthogonal_complement",
     "is_projectively_complete",
@@ -187,46 +187,25 @@ def orthogonal_projection(subspace: Subspace, metric) -> Projection:
     return Projection(B @ solved, ORTHOGONAL, metric=G)
 
 
-def orthonormalize_in_metric(columns, metric, tol: float = 1e-10) -> np.ndarray:
-    """Basis of the column span orthonormal under an SPD metric.
-
-    Columns ``C`` satisfy ``C^T G C = I`` afterwards; rank deficiency is
-    compressed exactly as in the plain orthonormalization.
-    """
-    eig = symmetric_eig(metric)
-    root = apply_spectral_function(eig, _metric_sqrt)
-    inv_root = apply_spectral_function(eig, lambda x: 1.0 / _metric_sqrt(x))
-    lifted = orthonormalize(root @ np.asarray(columns, dtype=float), tol=tol)
-    return inv_root @ lifted
-
-
-def _metric_sqrt(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"metric eigenvalue {x!r} is not positive")
-    return math.sqrt(x)
-
-
-def _compressed_form(subspace: Subspace, gram: GramOperator):
-    """Eigendecomposition of B^T W B together with its magnitude extremes."""
-    B = subspace.basis
-    compressed = symmetrize(B.T @ gram.matrix @ B)
-    eig = symmetric_eig(compressed)
-    magnitudes = np.abs(eig.eigenvalues)
-    return compressed, eig, float(magnitudes.min()), float(magnitudes.max())
-
-
 @dataclass(frozen=True)
 class CompletenessCheck:
     """Outcome of the projective completeness test.
 
     False outcomes carry a ``witness``: a unit vector of the subspace with
-    near-zero indefinite self-product.
+    near-zero indefinite self-product. The compressed form ``B^T W B`` and
+    its eigendecomposition are kept for the J-constructions.
     """
 
     complete: bool
     smallest: float
     largest: float
     witness: np.ndarray | None
+    compressed: np.ndarray | None = None
+    eig: EigenDecomposition | None = None
+
+    def __post_init__(self):
+        if self.compressed is not None:
+            self.compressed.flags.writeable = False
 
     def __bool__(self) -> bool:
         return self.complete
@@ -247,12 +226,37 @@ def is_projectively_complete(
     _check_ambient(subspace, gram.dim)
     if subspace.dim == 0:
         return CompletenessCheck(True, 0.0, 0.0, None)
-    _, eig, smallest, largest = _compressed_form(subspace, gram)
-    if smallest > tol * gram.regularity.max_abs_eigenvalue:
-        return CompletenessCheck(True, smallest, largest, None)
-    index = int(np.argmin(np.abs(eig.eigenvalues)))
-    witness = subspace.basis @ eig.eigenvectors[:, index]
-    return CompletenessCheck(False, smallest, largest, witness)
+    B = subspace.basis
+    compressed = symmetrize(B.T @ gram.matrix @ B)
+    eig = symmetric_eig(compressed)
+    magnitudes = np.abs(eig.eigenvalues)
+    smallest, largest = float(magnitudes.min()), float(magnitudes.max())
+    complete = smallest > tol * gram.regularity.max_abs_eigenvalue
+    witness = None
+    if not complete:
+        witness = B @ eig.eigenvectors[:, int(np.argmin(magnitudes))]
+    return CompletenessCheck(complete, smallest, largest, witness, compressed, eig)
+
+
+def _require_complete(check: CompletenessCheck):
+    if not check:
+        raise DegenerateSubspaceError(
+            "indefinite form degenerates on the subspace: compressed "
+            f"eigenvalue magnitudes span [{check.smallest:.3e}, {check.largest:.3e}]",
+            witness=check.witness,
+        )
+
+
+def j_projection_from_check(
+    subspace: Subspace, gram: GramOperator, check: CompletenessCheck
+) -> Projection:
+    """:func:`j_orthogonal_projection_gram` from the subspace's ``check``."""
+    if subspace.dim == 0:
+        return Projection(np.zeros((gram.dim, gram.dim)), J_ORTHOGONAL)
+    _require_complete(check)
+    B = subspace.basis
+    solved = np.linalg.solve(check.compressed, B.T @ gram.matrix)
+    return Projection(B @ solved, J_ORTHOGONAL)
 
 
 def j_orthogonal_projection_gram(
@@ -264,43 +268,15 @@ def j_orthogonal_projection_gram(
     compressed form is numerically singular and the projection does not
     exist.
     """
-    _check_ambient(subspace, gram.dim)
-    if subspace.dim == 0:
-        return Projection(np.zeros((gram.dim, gram.dim)), J_ORTHOGONAL)
     check = is_projectively_complete(subspace, gram, tol=tol)
-    if not check:
-        raise DegenerateSubspaceError(
-            "indefinite form degenerates on the subspace: compressed "
-            f"eigenvalue magnitudes span [{check.smallest:.3e}, {check.largest:.3e}]",
-            witness=check.witness,
-        )
-    B = subspace.basis
-    compressed = symmetrize(B.T @ gram.matrix @ B)
-    solved = np.linalg.solve(compressed, B.T @ gram.matrix)
-    return Projection(B @ solved, J_ORTHOGONAL)
+    return j_projection_from_check(subspace, gram, check)
 
 
-def j_orthogonal_projection_composed(
-    subspace: Subspace, gram: GramOperator, tol: float = DEGENERACY_TOL
+def composed_projection_from_check(
+    subspace: Subspace, gram: GramOperator, check: CompletenessCheck
 ) -> Projection:
-    """J-orthogonal projection as the product of two metric projections.
-
-    Forms ``P_V P_{JV}`` with both factors orthogonal under the companion
-    metric ``|W|``. The product is a J-orthogonal projection exactly when
-    the subspace is invariant under the fundamental symmetry; the result
-    is validated against the projection identities and rejected otherwise,
-    so a caller can never mistake the composition for a projection it is
-    not.
-    """
-    _check_ambient(subspace, gram.dim)
-    if subspace.dim == 0:
-        return Projection(np.zeros((gram.dim, gram.dim)), J_ORTHOGONAL)
-    check = is_projectively_complete(subspace, gram, tol=tol)
-    if not check:
-        raise DegenerateSubspaceError(
-            "indefinite form degenerates on the subspace",
-            witness=check.witness,
-        )
+    """:func:`j_orthogonal_projection_composed` from the subspace's ``check``."""
+    _require_complete(check)
     metric = gram.abs_matrix
     p_v = orthogonal_projection(subspace, metric)
     mapped = subspace_from_columns(gram.symmetry @ subspace.basis)
@@ -322,6 +298,22 @@ def j_orthogonal_projection_composed(
             residuals=residuals,
         )
     return Projection(Q, J_ORTHOGONAL)
+
+
+def j_orthogonal_projection_composed(
+    subspace: Subspace, gram: GramOperator, tol: float = DEGENERACY_TOL
+) -> Projection:
+    """J-orthogonal projection as the product of two metric projections.
+
+    Forms ``P_V P_{JV}`` with both factors orthogonal under the companion
+    metric ``|W|``. The product is a J-orthogonal projection exactly when
+    the subspace is invariant under the fundamental symmetry; the result
+    is validated against the projection identities and rejected otherwise,
+    so a caller can never mistake the composition for a projection it is
+    not.
+    """
+    check = is_projectively_complete(subspace, gram, tol=tol)
+    return composed_projection_from_check(subspace, gram, check)
 
 
 def j_orthogonal_complement(subspace: Subspace, gram: GramOperator) -> Subspace:
@@ -372,15 +364,9 @@ def j_orthonormal_basis(
     of the eigenvalue magnitudes; exists exactly for projectively complete
     subspaces.
     """
-    _check_ambient(subspace, gram.dim)
+    check = is_projectively_complete(subspace, gram, tol=tol)
     if subspace.dim == 0:
         return np.zeros((gram.dim, 0))
-    check = is_projectively_complete(subspace, gram, tol=tol)
-    if not check:
-        raise DegenerateSubspaceError(
-            "no sign-orthonormal basis: the form degenerates on the subspace",
-            witness=check.witness,
-        )
-    _, eig, _, _ = _compressed_form(subspace, gram)
-    scaling = 1.0 / np.sqrt(np.abs(eig.eigenvalues))
-    return subspace.basis @ (eig.eigenvectors * scaling)
+    _require_complete(check)
+    scaling = 1.0 / np.sqrt(np.abs(check.eig.eigenvalues))
+    return subspace.basis @ (check.eig.eigenvectors * scaling)

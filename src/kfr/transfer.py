@@ -4,11 +4,13 @@ Three regimes are covered. A regular Gram operator transfers frames with
 a certified interval for the companion-metric bounds obtained from the
 norm-equivalence constants. The square-root factors of ``|W|`` implement
 the metric-unitary transfer maps whose images have exactly the bounds of
-the source family. Near-singular behavior is exposed as a one-parameter
-sweep: finite dimension cannot place zero inside a spectrum with trivial
-kernel, so the singular limit is realized as a family of Gram operators
-whose smallest eigenvalue magnitude tends to zero, and the collapse of
-the lower frame bound is measured along it.
+the source family; the regular transfer and the check of both maps take a
+:class:`~kfr.fusion.FrameGeometry` and reuse its factors. Near-singular
+behavior is exposed as a one-parameter sweep: finite dimension cannot
+place zero inside a spectrum with trivial kernel, so the singular limit is
+realized as a family of Gram operators whose smallest eigenvalue magnitude
+tends to zero, and the collapse of the lower frame bound is measured along
+it.
 
 The sweep records two envelope checks. The proof-backed one bounds the
 quadratic form at plain-norm-normalized vectors by ``A^{-1} B M^2 eps``;
@@ -29,20 +31,22 @@ import numpy as np
 from .fusion import (
     FRAME_TOL,
     FrameBounds,
+    FrameGeometry,
     WeightedSubspaceFamily,
-    analysis_operator,
     frame_bounds,
     transport_by_invertible,
     whitened_bounds,
 )
 from .krein import GramOperator, build_gram
-from .subspaces import DegenerateSubspaceError, J_ORTHOGONAL, ORTHOGONAL
+from .subspaces import DegenerateSubspaceError, J_ORTHOGONAL, ORTHOGONAL, spans_equal
 
 __all__ = [
     "RegularityError",
     "TransferReport",
+    "TransferMapsReport",
     "SweepResult",
     "transfer_regular",
+    "verify_transfer_maps",
     "transfer_map_hilbert_to_krein",
     "transfer_map_krein_to_hilbert",
     "singular_sweep",
@@ -80,8 +84,7 @@ class TransferReport:
 
 
 def transfer_regular(
-    family: WeightedSubspaceFamily,
-    gram: GramOperator,
+    geometry: FrameGeometry,
     slack: float = SANDWICH_SLACK,
     frame_tol: float = FRAME_TOL,
 ) -> TransferReport:
@@ -90,13 +93,16 @@ def transfer_regular(
     Requires a regular Gram operator; near-singular ones have no useful
     two-sided interval and belong to :func:`singular_sweep`.
     """
+    gram = geometry.gram
     if not gram.is_regular:
         raise RegularityError(
             "transfer with certified interval requires a regular Gram "
             "operator; use singular_sweep for the near-singular family"
         )
-    hilbert = frame_bounds(family, np.eye(gram.dim), ORTHOGONAL, frame_tol=frame_tol)
-    krein = frame_bounds(family, gram.abs_matrix, J_ORTHOGONAL, gram, frame_tol)
+    hilbert = frame_bounds(
+        geometry.family, np.eye(gram.dim), ORTHOGONAL, frame_tol=frame_tol
+    )
+    krein = geometry.bounds(J_ORTHOGONAL, frame_tol)
     smallest = gram.regularity.min_abs_eigenvalue
     largest = gram.regularity.max_abs_eigenvalue
     certified = (
@@ -145,6 +151,46 @@ def transfer_map_krein_to_hilbert(
     """Image family under ``|W|^{1/2}``, inverse of the other transfer map."""
     _require_above_floor(gram)
     return transport_by_invertible(family, gram.sqrt_abs)
+
+
+@dataclass(frozen=True)
+class TransferMapsReport:
+    """A regular transfer, the bounds of both transfer-map images and whether
+    each image keeps the other geometry's bounds and the round trip the spans."""
+
+    regular: TransferReport
+    forward_bounds: FrameBounds
+    backward_bounds: FrameBounds
+    forward_preserves_bounds: bool
+    backward_preserves_bounds: bool
+    maps_invert_on_spans: bool
+
+
+def verify_transfer_maps(
+    geometry: FrameGeometry, frame_tol: float = FRAME_TOL
+) -> TransferMapsReport:
+    """Run :func:`transfer_regular` and check both transfer maps against it."""
+    report = transfer_regular(geometry, frame_tol=frame_tol)
+    family, gram = geometry.family, geometry.gram
+    forward = transfer_map_hilbert_to_krein(family, gram)
+    forward_bounds = FrameGeometry(forward, gram).bounds(J_ORTHOGONAL, frame_tol)
+    backward = transfer_map_krein_to_hilbert(family, gram)
+    backward_bounds = frame_bounds(
+        backward, np.eye(gram.dim), ORTHOGONAL, frame_tol=frame_tol
+    )
+    round_trip = transfer_map_krein_to_hilbert(forward, gram)
+    hilbert, krein = report.hilbert_bounds, report.krein_bounds
+    return TransferMapsReport(
+        regular=report,
+        forward_bounds=forward_bounds,
+        backward_bounds=backward_bounds,
+        forward_preserves_bounds=forward_bounds.matches(hilbert.lower, hilbert.upper),
+        backward_preserves_bounds=backward_bounds.matches(krein.lower, krein.upper),
+        maps_invert_on_spans=all(
+            spans_equal(before, after, tol=1e-9)
+            for before, after in zip(family.subspaces, round_trip.subspaces)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -214,9 +260,9 @@ def singular_sweep(
     for value in eps:
         try:
             gram = gram_family(value)
-            A = analysis_operator(family, gram.abs_matrix, J_ORTHOGONAL, gram)
-            lower = whitened_bounds(A @ gram.inv_sqrt_abs).lower
-            witness = whitened_bounds(A).lower
+            geometry = FrameGeometry(family, gram)
+            lower = geometry.bounds(J_ORTHOGONAL).lower
+            witness = whitened_bounds(geometry.analysis_operator(J_ORTHOGONAL)).lower
         except DegenerateSubspaceError as exc:
             skipped.append((value, str(exc)))
             continue

@@ -14,6 +14,7 @@ import pytest
 
 from kfr.cli import main
 from kfr.fusion import (
+    FrameGeometry,
     LocalFrameSystem,
     WeightedSubspaceFamily,
     frame_bounds,
@@ -120,7 +121,7 @@ def test_criterion_3_four_way_equivalence():
         rng = np.random.default_rng(3000 + seed)
         g = random_gram(rng, 6)
         family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
-        report = verify_four_way_equivalence(family, g, rel_tol=1e-8)
+        report = verify_four_way_equivalence(FrameGeometry(family, g), rel_tol=1e-8)
         assert not report.degeneracies
         lows = [b.lower for b in report.all_bounds]
         highs = [b.upper for b in report.all_bounds]
@@ -148,14 +149,14 @@ def test_criterion_4_regular_transfer():
         g = random_gram(rng, 6, magnitude_range=(0.7, 2.5))
         assert g.regularity.condition_number <= 10
         family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
-        report = transfer_regular(family, g, slack=1e-9)
+        report = transfer_regular(FrameGeometry(family, g), slack=1e-9)
         all_hold = all_hold and report.sandwich_holds
 
     identity_report = transfer_regular(
-        WeightedSubspaceFamily(
-            (1.0, 1.0), (line(1.0, 0.0), line(0.0, 1.0))
-        ),
-        build_gram(np.eye(2)),
+        FrameGeometry(
+            WeightedSubspaceFamily((1.0, 1.0), (line(1.0, 0.0), line(0.0, 1.0))),
+            build_gram(np.eye(2)),
+        )
     )
     exact = identity_report.certified_interval == (
         identity_report.hilbert_bounds.lower,

@@ -1,11 +1,10 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 
-import kfr.linalg
 from kfr.fusion import (
+    FrameGeometry,
     LocalFrameSystem,
     WeightedSubspaceFamily,
     analysis_operator,
@@ -28,6 +27,7 @@ from kfr.subspaces import (
     orthogonal_projection,
     subspace_from_columns,
 )
+from kfr.transfer import transfer_regular
 
 
 def line(*entries):
@@ -121,24 +121,13 @@ class TestAnalysisOperator:
         assert frobenius(M - reference) <= 1e-12 * frobenius(reference)
         assert frobenius(A.T @ A - reference) <= 1e-12 * frobenius(reference)
 
-    def test_companion_bounds_factor_no_dense_matrix_but_one(self, monkeypatch):
+    def test_companion_bounds_factor_no_dense_matrix_but_one(self, count_eigs):
         # |W|^{-1/2} comes from the Gram operator, so the only d x d
         # eigensolve left is the whitened reduction itself
         rng = np.random.default_rng(3)
         g = random_gram(rng, 12)
         family = random_invariant_family(g, rng, 3, 4)
-        sizes = []
-        original = kfr.linalg.symmetric_eig
-
-        def counting(matrix):
-            sizes.append(np.shape(matrix)[0])
-            return original(matrix)
-
-        for name, module in list(sys.modules.items()):
-            if name == "kfr" or name.startswith("kfr."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
+        sizes = count_eigs()
         bounds = frame_bounds(family, g.abs_matrix, J_ORTHOGONAL, g)
         assert sizes.count(12) == 1
         assert sizes.count(4) == 3
@@ -234,7 +223,7 @@ class TestVectorFrameBounds:
 class TestFourWayEquivalence:
     def test_plain_metric_collapses_formulations(self):
         g = build_gram(np.eye(2))
-        report = verify_four_way_equivalence(coordinate_family(2), g)
+        report = verify_four_way_equivalence(FrameGeometry(coordinate_family(2), g))
         assert report.bounds_agree
         values = {
             (b.lower, b.upper) for b in report.all_bounds
@@ -243,7 +232,7 @@ class TestFourWayEquivalence:
 
     def test_coordinate_subspaces_indefinite(self):
         g = build_gram(np.diag([2.0, -3.0]))
-        report = verify_four_way_equivalence(coordinate_family(2), g)
+        report = verify_four_way_equivalence(FrameGeometry(coordinate_family(2), g))
         assert report.bounds_agree
         for bounds in report.all_bounds:
             assert bounds.lower == pytest.approx(1.0, abs=1e-9)
@@ -254,16 +243,45 @@ class TestFourWayEquivalence:
         rng = np.random.default_rng(seed)
         g = random_gram(rng, 6)
         family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
-        report = verify_four_way_equivalence(family, g)
+        report = verify_four_way_equivalence(FrameGeometry(family, g))
         assert report.bounds_agree
         assert not report.degeneracies
 
     def test_degenerate_member_is_reported(self):
         g = build_gram(np.diag([1.0, -1.0]))
         family = WeightedSubspaceFamily((1.0,), (line(1.0, 1.0),))
-        report = verify_four_way_equivalence(family, g)
+        report = verify_four_way_equivalence(FrameGeometry(family, g))
         assert report.degeneracies
         assert not report.bounds_agree
+
+
+class TestFrameGeometry:
+    def test_each_factor_is_computed_once(self, count_eigs):
+        rng = np.random.default_rng(3)
+        g = random_gram(rng, 12)
+        family = random_invariant_family(g, rng, 3, 4)
+        geometry = FrameGeometry(family, g)
+        sizes = count_eigs()
+        report = verify_four_way_equivalence(geometry)
+        # three members and three J-images, four whitened reductions
+        assert sorted(sizes) == [4] * 6 + [12] * 4
+        sizes.clear()
+        # tolerances only classify, and the transfer's plain bound is new
+        strict = geometry.bounds(J_ORTHOGONAL, frame_tol=1e3)
+        krein = transfer_regular(geometry).krein_bounds
+        assert sizes == [12]
+        assert report.q_on_subspaces == krein
+        assert (strict.lower, strict.upper) == (krein.lower, krein.upper)
+        assert krein.is_frame and not strict.is_frame
+        assert krein == frame_bounds(family, g.abs_matrix, J_ORTHOGONAL, g)
+
+    def test_rejects_mismatched_dimension_and_unknown_kind(self):
+        g = build_gram(np.diag([2.0, -3.0, 1.0]))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            FrameGeometry(coordinate_family(2), g)
+        geometry = FrameGeometry(coordinate_family(3), g)
+        with pytest.raises(ValueError, match="unknown projection kind"):
+            geometry.bounds("oblique")
 
 
 class TestLocalFrames:

@@ -493,6 +493,61 @@ class TestCli:
             assert str(cap) in capsys.readouterr().err
             assert not output.exists()
 
+    @pytest.mark.parametrize(
+        "command, count",
+        [
+            (("analyze", "--metric", "hilbert"), 1),
+            (("analyze", "--metric", "krein"), 5),
+            (("equivalence",), 11),
+            (("transfer",), 11),
+            (("sweep",), 37),
+            (("spectral",), 4),
+            (("check",), 14),
+        ],
+    )
+    def test_eigensolves_per_command(self, tmp_path, count_eigs, command, count):
+        # each subspace and each J-image is factored once per command; check's
+        # 14: build_gram 1, completeness 3 + 3, four-way bounds 4, plain
+        # bounds 1, spectral block check 1 and its bound 1
+        instance = str(tmp_path / "instance.json")
+        assert main(["gen", "--seed", "1", "--dim", "48", "--subspaces", "3",
+                     "--output", instance]) == 0
+        sizes = count_eigs()
+        assert main([*command, "--input", instance,
+                     "--output", str(tmp_path / "report.json")]) == 0
+        assert len(sizes) == count
+
+    def test_degenerate_member_text_is_pinned(self, tmp_path, capsys):
+        # the second member spans a neutral line of W; texts from the parent
+        # of the one-factorization change
+        payload = {
+            "dimension": 4,
+            "gram": [[2.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+                     [0.0, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, -0.5]],
+            "subspaces": [
+                {"basis": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]},
+                {"basis": [[1.0, 1.4142135623730951, 0.0, 0.0]]},
+                {"basis": [[0.0, 0.0, 1.0, 2.449489742783178]]},
+            ],
+            "weights": [1.0, 2.0, 0.5],
+        }
+        path = write_instance(tmp_path, payload)
+        span = ("indefinite form degenerates on the subspace: compressed "
+                "eigenvalue magnitudes span [2.211e-16, 2.211e-16]")
+        assert main(["equivalence", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["sections"]["degeneracies"] == [
+            f"q on subspaces: {span}",
+            f"q on mapped subspaces: {span}",
+        ]
+        assert captured.err == ""
+        assert main(["analyze", "--metric", "krein", "--input", path]) == 2
+        assert capsys.readouterr().err == f"kfr: {span}\n"
+        assert main(["check", "--input", path]) == 2
+        assert capsys.readouterr().err == (
+            "kfr: subspace 1 is degenerate under the indefinite form\n"
+        )
+
     def test_tol_flag_spectral(self, tmp_path, capsys):
         payload = minimal_payload()
         path = write_instance(tmp_path, payload)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from kfr.fusion import frame_bounds
+from kfr.fusion import FrameGeometry, frame_bounds
 from kfr.generators import random_gram, random_invariant_family
 from kfr.linalg import frobenius
 from kfr.spectral import (
@@ -21,7 +21,7 @@ def test_pipeline_dimension_64():
     assert frobenius(g.symmetry @ g.abs_matrix - g.matrix) <= 1e-9
 
     family = random_invariant_family(g, rng, 8, 8, weight_range=(0.5, 2.0))
-    report = transfer_regular(family, g)
+    report = transfer_regular(FrameGeometry(family, g))
     assert report.sandwich_holds
     assert report.hilbert_bounds.is_frame
 

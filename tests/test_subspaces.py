@@ -5,7 +5,7 @@ import pytest
 
 from kfr.generators import random_gram, random_invariant_subspace
 from kfr.krein import build_gram, w_inner
-from kfr.linalg import frobenius
+from kfr.linalg import frobenius, symmetric_eig, symmetrize
 from kfr.subspaces import (
     ComposedProjectionError,
     DegenerateSubspaceError,
@@ -17,7 +17,6 @@ from kfr.subspaces import (
     j_orthogonal_projection_gram,
     j_orthonormal_basis,
     orthogonal_projection,
-    orthonormalize_in_metric,
     spans_equal,
     subspace_from_columns,
 )
@@ -247,21 +246,21 @@ class TestJOrthonormal:
         assert check_j_orthonormal(basis.T, g)
         assert spans_equal(subspace_from_columns(basis), s)
 
+    def test_sign_orthonormal_basis_reuses_the_check(self, count_eigs):
+        # the basis scales the eigenvectors of the check's own eigensolve
+        rng = np.random.default_rng(21)
+        g = random_gram(rng, 12)
+        s = random_invariant_subspace(g, rng, 4)
+        eig = symmetric_eig(symmetrize(s.basis.T @ g.matrix @ s.basis))
+        scaling = 1.0 / np.sqrt(np.abs(eig.eigenvalues))
+        reference = s.basis @ (eig.eigenvectors * scaling)
+        sizes = count_eigs()
+        basis = j_orthonormal_basis(s, g)
+        assert sizes == [4]
+        assert np.array_equal(basis, reference)
+
     def test_sign_orthonormal_basis_needs_nondegeneracy(self):
         g = build_gram(np.diag([1.0, -1.0]))
         with pytest.raises(DegenerateSubspaceError):
             j_orthonormal_basis(line(1.0, 1.0), g)
 
-
-class TestMetricOrthonormalize:
-    def test_columns_become_metric_orthonormal(self):
-        rng = np.random.default_rng(14)
-        G = np.diag(rng.uniform(0.5, 3.0, 5))
-        C = rng.standard_normal((5, 3))
-        B = orthonormalize_in_metric(C, G)
-        assert frobenius(B.T @ G @ B - np.eye(3)) <= 1e-9
-
-    def test_rank_compression(self):
-        G = np.diag([2.0, 3.0])
-        B = orthonormalize_in_metric(np.array([[1.0, 2.0], [1.0, 2.0]]), G)
-        assert B.shape == (2, 1)

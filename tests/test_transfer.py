@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kfr.fusion import WeightedSubspaceFamily, frame_bounds
+from kfr.fusion import FrameGeometry, WeightedSubspaceFamily, frame_bounds
 from kfr.generators import random_gram, random_invariant_family
 from kfr.krein import build_gram
 from kfr.subspaces import J_ORTHOGONAL, Subspace, spans_equal
@@ -12,6 +12,7 @@ from kfr.transfer import (
     transfer_map_hilbert_to_krein,
     transfer_map_krein_to_hilbert,
     transfer_regular,
+    verify_transfer_maps,
 )
 
 
@@ -40,7 +41,7 @@ def mild_regular_gram(seed, d=6):
 class TestTransferRegular:
     def test_identity_gram_is_exact(self):
         g = build_gram(np.eye(2))
-        report = transfer_regular(coordinate_family(2), g)
+        report = transfer_regular(FrameGeometry(coordinate_family(2), g))
         assert report.krein_bounds.lower == report.hilbert_bounds.lower
         assert report.krein_bounds.upper == report.hilbert_bounds.upper
         assert report.certified_interval == (
@@ -51,7 +52,7 @@ class TestTransferRegular:
 
     def test_diagonal_aligned_family(self):
         g = build_gram(np.diag([2.0, 3.0]))
-        report = transfer_regular(coordinate_family(2), g)
+        report = transfer_regular(FrameGeometry(coordinate_family(2), g))
         assert report.hilbert_bounds.lower == pytest.approx(1.0, abs=1e-10)
         assert report.hilbert_bounds.upper == pytest.approx(1.0, abs=1e-10)
         assert report.krein_bounds.lower == pytest.approx(1.0, abs=1e-10)
@@ -69,13 +70,13 @@ class TestTransferRegular:
         g = random_gram(rng, 6, magnitude_range=(0.7, 2.5))
         assert g.regularity.condition_number <= 10
         family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
-        report = transfer_regular(family, g)
+        report = transfer_regular(FrameGeometry(family, g))
         assert report.sandwich_holds
 
     def test_near_singular_rejected(self):
         g = build_gram(np.diag([1.0, 1e-8]))
         with pytest.raises(RegularityError, match="singular_sweep"):
-            transfer_regular(coordinate_family(2), g)
+            transfer_regular(FrameGeometry(coordinate_family(2), g))
 
 
 class TestTransferMaps:
@@ -123,6 +124,20 @@ class TestTransferMaps:
         )
         for before, after in zip(family.subspaces, round_trip.subspaces):
             assert spans_equal(before, after, tol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verify_transfer_maps(self, seed):
+        g = mild_regular_gram(seed)
+        rng = np.random.default_rng(100 + seed)
+        family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
+        result = verify_transfer_maps(FrameGeometry(family, g))
+        hilbert = result.regular.hilbert_bounds
+        krein = result.regular.krein_bounds
+        assert result.forward_bounds.lower == pytest.approx(hilbert.lower, rel=1e-8)
+        assert result.backward_bounds.upper == pytest.approx(krein.upper, rel=1e-8)
+        assert result.forward_preserves_bounds
+        assert result.backward_preserves_bounds
+        assert result.maps_invert_on_spans
 
     def test_below_machine_floor_rejected(self):
         g = build_gram(np.diag([1.0, 1e-13]))
