@@ -9,8 +9,9 @@ report. Under another BLAS thread count, numbers may differ at rounding
 level.
 
 Exit status: 0 when every check passed, 1 for validation or parse
-failures, 2 for numerical failures (kernel violations, degeneracies,
-non-convergence), 3 when a theorem check evaluated false.
+failures (a command line argparse rejects included), 2 for numerical
+failures (kernel violations, degeneracies, non-convergence), 3 when a
+theorem check evaluated false.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def _apply_tol(instance: ProblemInstance, args) -> ProblemInstance:
         return instance
     if args.tol <= 0:
         raise InstanceValidationError("--tol must be positive")
+    if not math.isfinite(args.tol):
+        raise InstanceValidationError("--tol must be finite")
     if args.command == "spectral":
         options = dataclasses.replace(instance.options, cluster_tol=args.tol)
     else:
@@ -468,8 +471,17 @@ HANDLERS = {
 }
 
 
+class _UsageError(Exception):
+    """An argument argparse rejected; ``main`` exits 1 for it, not 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kfr",
         description=(
             "Frame-of-subspaces analysis on finite-dimensional spaces with "
@@ -506,6 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process; parsing leaves it unchanged.
+PARSER = build_parser()
+
+
 def _emit(text: str, destination: str | None):
     if destination is None:
         sys.stdout.write(text)
@@ -516,7 +532,13 @@ def _emit(text: str, destination: str | None):
 
 def main(argv=None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    try:
+        args = PARSER.parse_args(argv)
+    except _UsageError as exc:
+        # argparse's own text, with the exit status of any invalid input
+        PARSER.print_usage(sys.stderr)
+        print(f"{PARSER.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     started = time.perf_counter()
     try:
         if args.command == "gen":

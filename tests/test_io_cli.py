@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import kfr.generators
 from kfr.cli import main
 from kfr.generators import make_instance_payload
 from kfr.io import (
+    InstanceOptions,
     InstanceParseError,
     InstanceValidationError,
     build_instance_family,
@@ -555,6 +557,64 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["sections"]["maxMultiplicity"] == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("command", ["analyze", "spectral"])
+    def test_non_finite_tol_exits_1_naming_the_flag(
+        self, tmp_path, capsys, command, value
+    ):
+        path = write_instance(tmp_path, minimal_payload())
+        assert main([command, "--input", path, "--tol", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "kfr: --tol must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--metric", "foo"], "argument --metric: invalid choice"),
+            (["analyze", "--tol", "abc"], "argument --tol: invalid float value"),
+            (["gen", "--seed", "x"], "argument --seed: invalid int value"),
+            (["frob"], "argument command: invalid choice"),
+            ([], "the following arguments are required: command"),
+            (["analyze", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_errors_return_1_with_the_argparse_message(
+        self, capsys, argv, message
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, _, error = captured.err.rpartition("kfr: error: ")
+        assert usage.startswith("usage: kfr ")
+        assert error.startswith(message) and error.endswith("\n")
+
+    def test_process_exit_status_for_usage_errors_and_help(self):
+        source = os.path.dirname(os.path.dirname(kfr.__file__))
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+
+        def status(*argv):
+            done = subprocess.run(
+                [sys.executable, "-m", "kfr.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=path),
+                capture_output=True,
+                timeout=60,
+            )
+            return done.returncode
+
+        assert status("analyze", "--metric", "foo") == 1
+        assert status("--help") == 0
+
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        def unreachable():
+            pytest.fail("main rebuilt the argument parser")
+
+        monkeypatch.setattr(kfr.cli, "build_parser", unreachable)
+        path = write_instance(tmp_path, minimal_payload())
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", "--input", path, "--output", out]) == 0
+        assert main(["analyze", "--metric", "foo"]) == 1
+
 
 def _reference_write(obj, pieces, indent, level):
     # the per-element canonical writer, kept as the reference for the bytes
@@ -619,6 +679,31 @@ GOLDEN_PAYLOADS = {
 }
 
 
+def _symmetric(n: int) -> np.ndarray:
+    m = np.random.default_rng(5).standard_normal((n, n))
+    return m + m.T
+
+
+#: 2-D float64 arrays, which ``dumps_canonical`` writes from a table of
+#: their distinct values; the reference writes their ``tolist()`` rows.
+GOLDEN_ARRAYS = {
+    "symmetric dense": _symmetric(7),
+    "diagonal": np.diag([2.0, -1.0, 0.5, 3.0, -1.0]),
+    "row mixing -0.0 and 0.0": np.array(
+        [[-0.0, 0.0, 1.0, -0.0], [0.0, 0.0, -0.0, 2.0]]
+    ),
+    "only -0.0 zeros": np.array([[1.0, -0.0, -0.0], [-0.0, -1.0, -0.0]]),
+    "extremes": np.array(
+        [[5e-324, 1.7976931348623157e308], [-5e-324, -1.7976931348623157e308]]
+    ),
+    "1x1": np.array([[0.1 + 0.2]]),
+    "one row": np.random.default_rng(6).standard_normal((1, 5)),
+    "one column": np.random.default_rng(7).standard_normal((5, 1)),
+    "transposed view": np.random.default_rng(8).standard_normal((3, 5)).T,
+    "all equal": np.full((4, 3), 1.0 / 3.0),
+}
+
+
 class TestCanonicalWriterGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
     def test_bytes_match_the_per_element_writer(self, name):
@@ -638,6 +723,72 @@ class TestCanonicalWriterGolden:
             dumps_canonical(payload)
         assert str(raised.value) == str(expected.value)
         assert "non-finite" in str(raised.value)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARRAYS))
+    def test_array_bytes_match_its_rows(self, name):
+        array = GOLDEN_ARRAYS[name]
+        assert array.dtype == np.float64 and array.ndim == 2
+        if name == "transposed view":
+            assert not array.flags.c_contiguous
+        # at the top level and nested, as gram and basis blocks sit
+        assert dumps_canonical(array) == reference_dumps(array.tolist())
+        payload = {"gram": array, "subspaces": [{"basis": array}, {"basis": array}]}
+        rows = array.tolist()
+        assert dumps_canonical(payload) == reference_dumps(
+            {"gram": rows, "subspaces": [{"basis": rows}, {"basis": rows}]}
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_array_raises_the_list_error(self, bad):
+        # the first non-finite entry in row order is named, also in a
+        # transposed view, whose memory order differs
+        stored = np.ones((3, 4))
+        stored[0, 2] = -bad
+        stored[2, 0] = bad
+        for array in (stored, stored.T):
+            with pytest.raises(ValueError) as expected:
+                reference_dumps({"basis": array.tolist()})
+            with pytest.raises(ValueError) as raised:
+                dumps_canonical({"basis": array})
+            assert str(raised.value) == str(expected.value)
+            assert "non-finite" in str(raised.value)
+
+    def test_digest_is_the_hash_of_the_generated_file(self, tmp_path):
+        path = tmp_path / "instance.json"
+        assert main(["gen", "--seed", "4", "--dim", "9", "--subspaces", "3",
+                     "--output", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        instance = parse_instance_text(text)
+        assert instance_digest(instance) == (
+            "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        )
+
+    def test_digest_of_diagonal_coordinate_instance_with_negative_zeros(self):
+        # diagonal W, coordinate subspaces: the form the paper's
+        # decomposition reduces every W-space to; -0.0 must stay -0.0
+        options = InstanceOptions()
+        payload = {
+            "dimension": 3,
+            "gram": [[2.0, -0.0, 0.0], [0.0, -1.0, -0.0], [0.0, -0.0, 0.5]],
+            "subspaces": [
+                {"basis": [[1.0, -0.0, 0.0], [0.0, 1.0, 0.0]]},
+                {"basis": [[-0.0, -0.0, 1.0]]},
+            ],
+            "weights": [1.0, 2.0],
+            "options": {
+                "epsilonThreshold": options.epsilon_threshold,
+                "clusterTol": options.cluster_tol,
+                "frameTol": options.frame_tol,
+                "sweepEpsilons": list(options.sweep_epsilons),
+            },
+        }
+        text = reference_dumps(payload)
+        assert text.count("-0.0000000000000000e+00") == 6
+        instance = parse_instance_text(text)
+        assert serialize_instance(instance) == text
+        assert instance_digest(instance) == (
+            "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        )
 
     def test_integer_gram_parses_to_float64(self):
         payload = minimal_payload()
