@@ -43,6 +43,7 @@ from .io import (
     build_instance_gram,
     dumps_canonical,
     instance_digest,
+    instance_from_tree,
     parse_instance,
     parse_instance_text,
 )
@@ -232,9 +233,7 @@ def _custom_gram_family(path: str, instance: ProblemInstance):
         )
     members = {}
     for index, item in enumerate(data):
-        member = parse_instance_text(
-            json.dumps(item), source=f"{path}[{index}]"
-        )
+        member = instance_from_tree(item, source=f"{path}[{index}]")
         if member.dimension != instance.dimension:
             raise InstanceValidationError(
                 f"family member {index} has dimension {member.dimension}, "

@@ -4,17 +4,16 @@ Instances and reports are JSON-compatible object trees. Serialization is
 canonical: floats are printed with 17 significant digits in scientific
 notation (enough for exact double round trips), keys keep construction
 order, and indentation is fixed, so identical values produce identical
-bytes. The float format is defined once, in ``FLOAT_FORMAT``. A 2-D
-float64 array (the gram matrix, a basis block) is written as the list of
-its rows, with each distinct value formatted once: a diagonal gram or a
-coordinate basis holds few distinct values among many entries. A list
-whose elements are all exact, finite ``float`` objects is formatted in one
-call, and every other list element by element; all three give the same
-bytes. Parsing validates structure eagerly and reports the offending
-field: each number row is checked type-exactly in one pass (a
-JSON ``true`` is not a number) and converted to a float array in one call.
-A gram matrix that is asymmetric within tolerance is symmetrized by
-averaging and the repair is recorded as an instance warning.
+bytes. The float format is defined once, in ``FLOAT_FORMAT``. A list
+whose elements are all exact, finite ``float`` objects (a matrix row, a
+basis vector) is formatted in one call, and every other list element by
+element; both give the same bytes. An instance's digest formats nothing:
+it hashes the parsed values' float64 bits (``instance_digest``). Parsing
+validates structure eagerly and reports the offending field: each number
+row is checked type-exactly in one pass (a JSON ``true`` is not a number)
+and converted to a float array in one call. A gram matrix that is
+asymmetric within tolerance is symmetrized by averaging and the repair is
+recorded as an instance warning.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ __all__ = [
     "dumps_canonical",
     "parse_instance",
     "parse_instance_text",
+    "instance_from_tree",
     "instance_payload",
     "serialize_instance",
     "instance_digest",
@@ -99,35 +99,6 @@ def _format_float(value: float) -> str:
     return FLOAT_FORMAT % value
 
 
-def _write_float_array(
-    array: np.ndarray, pieces: list[str], indent: int, level: int
-):
-    """A nonempty 2-D float64 array, written as the list of its rows.
-
-    Each distinct bit pattern (so ``-0.0`` stays apart from ``0.0``) is
-    formatted once, in one call, and every row is built by indexing into
-    those strings. The table lives for this one array.
-    """
-    bits, inverse = np.unique(
-        np.ascontiguousarray(array).view(np.int64), return_inverse=True
-    )
-    values = bits.view(np.float64)
-    if not np.isfinite(values).all():
-        # raise the list path's error, for the first such entry in row order
-        _format_float(float(array.flat[np.argmax(~np.isfinite(array))]))
-    strings = ",".join([FLOAT_FORMAT] * len(values)) % tuple(values.tolist())
-    table = np.array(strings.split(","), dtype=object)
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    cell = " " * (indent * (level + 2))
-    separator = ",\n" + cell
-    rows = [
-        separator.join(row) for row in table[inverse.reshape(array.shape)].tolist()
-    ]
-    between = f"\n{inner}],\n{inner}[\n{cell}"
-    pieces.append(f"[\n{inner}[\n{cell}{between.join(rows)}\n{inner}]\n{pad}]")
-
-
 def _write_canonical(obj, pieces: list[str], indent: int, level: int):
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
@@ -160,13 +131,6 @@ def _write_canonical(obj, pieces: list[str], indent: int, level: int):
             _write_canonical(value, pieces, indent, level + 1)
             pieces.append(",\n" if index < len(obj) - 1 else "\n")
         pieces.append(pad + "]")
-    elif (
-        isinstance(obj, np.ndarray)
-        and obj.dtype == np.float64
-        and obj.ndim == 2
-        and obj.size
-    ):
-        _write_float_array(obj, pieces, indent, level)
     elif isinstance(obj, bool) or obj is None:
         pieces.append(json.dumps(obj))
     elif isinstance(obj, int):
@@ -237,6 +201,12 @@ def parse_instance_text(text: str, source: str = "<string>") -> ProblemInstance:
         raise InstanceParseError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    return instance_from_tree(data, source)
+
+
+def instance_from_tree(data, source: str = "<string>") -> ProblemInstance:
+    """Validate an already-loaded JSON tree as an instance; ``source`` names
+    it in error messages."""
     if not isinstance(data, dict):
         raise InstanceParseError(f"{source}: top level must be an object")
 
@@ -339,12 +309,13 @@ def parse_instance(path) -> ProblemInstance:
 
 
 def instance_payload(instance: ProblemInstance) -> dict:
-    """Instance as a canonical-serializable object tree; ``gram`` and each
-    ``basis`` are float arrays, which ``dumps_canonical`` writes as rows."""
+    """Instance as a canonical-serializable object tree."""
     return {
         "dimension": instance.dimension,
-        "gram": instance.gram,
-        "subspaces": [{"basis": block.T} for block in instance.subspace_columns],
+        "gram": instance.gram.tolist(),
+        "subspaces": [
+            {"basis": block.T.tolist()} for block in instance.subspace_columns
+        ],
         "weights": [float(w) for w in instance.weights],
         "options": {
             "epsilonThreshold": instance.options.epsilon_threshold,
@@ -360,9 +331,33 @@ def serialize_instance(instance: ProblemInstance) -> str:
 
 
 def instance_digest(instance: ProblemInstance) -> str:
-    """Content hash of the canonical instance bytes."""
-    digest = hashlib.sha256(serialize_instance(instance).encode("utf-8"))
-    return f"sha256:{digest.hexdigest()}"
+    """Content hash of the parsed values' bits, independent of how the file
+    spells them.
+
+    sha256 of the little-endian int64 sizes ``[dimension, block count,
+    r_1 … r_k, len(sweepEpsilons)]``, then the little-endian float64
+    bytes, in C order, of ``gram``, of each basis block as its file rows,
+    of ``weights``, of ``(epsilonThreshold, clusterTol, frameTol)`` and of
+    ``sweepEpsilons``. ``-0.0`` and ``0.0`` differ.
+    """
+    blocks = instance.subspace_columns
+    options = instance.options
+    sizes = [
+        instance.dimension,
+        len(blocks),
+        *(block.shape[1] for block in blocks),
+        len(options.sweep_epsilons),
+    ]
+    digest = hashlib.sha256(np.array(sizes, dtype="<i8").tobytes())
+    for values in (
+        instance.gram,
+        *(block.T for block in blocks),
+        instance.weights,
+        (options.epsilon_threshold, options.cluster_tol, options.frame_tol),
+        options.sweep_epsilons,
+    ):
+        digest.update(np.asarray(values, dtype="<f8").tobytes())
+    return f"sha256-f8le:{digest.hexdigest()}"
 
 
 def build_instance_gram(instance: ProblemInstance) -> GramOperator:

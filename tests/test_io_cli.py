@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 import kfr
 import kfr.generators
+import kfr.io
 from kfr.cli import main
 from kfr.generators import make_instance_payload
 from kfr.io import (
@@ -301,6 +303,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "family members 1 and 2" in captured.err
+
+    @pytest.mark.parametrize("malformed", ["no gram", "not an object"])
+    def test_sweep_family_file_names_a_malformed_member(
+        self, tmp_path, capsys, malformed
+    ):
+        instance_path = write_instance(tmp_path, minimal_payload())
+        member = minimal_payload()
+        del member["gram"]
+        bad = member if malformed == "no gram" else [member]
+        family_path = tmp_path / "family.json"
+        family_path.write_text(
+            json.dumps([minimal_payload(), bad]), encoding="utf-8"
+        )
+        assert main(
+            ["sweep", "--input", instance_path, "--family", str(family_path)]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{family_path}[1]" in captured.err
 
     def test_spectral_command(self, tmp_path, capsys):
         payload = {
@@ -679,31 +700,6 @@ GOLDEN_PAYLOADS = {
 }
 
 
-def _symmetric(n: int) -> np.ndarray:
-    m = np.random.default_rng(5).standard_normal((n, n))
-    return m + m.T
-
-
-#: 2-D float64 arrays, which ``dumps_canonical`` writes from a table of
-#: their distinct values; the reference writes their ``tolist()`` rows.
-GOLDEN_ARRAYS = {
-    "symmetric dense": _symmetric(7),
-    "diagonal": np.diag([2.0, -1.0, 0.5, 3.0, -1.0]),
-    "row mixing -0.0 and 0.0": np.array(
-        [[-0.0, 0.0, 1.0, -0.0], [0.0, 0.0, -0.0, 2.0]]
-    ),
-    "only -0.0 zeros": np.array([[1.0, -0.0, -0.0], [-0.0, -1.0, -0.0]]),
-    "extremes": np.array(
-        [[5e-324, 1.7976931348623157e308], [-5e-324, -1.7976931348623157e308]]
-    ),
-    "1x1": np.array([[0.1 + 0.2]]),
-    "one row": np.random.default_rng(6).standard_normal((1, 5)),
-    "one column": np.random.default_rng(7).standard_normal((5, 1)),
-    "transposed view": np.random.default_rng(8).standard_normal((3, 5)).T,
-    "all equal": np.full((4, 3), 1.0 / 3.0),
-}
-
-
 class TestCanonicalWriterGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
     def test_bytes_match_the_per_element_writer(self, name):
@@ -724,44 +720,17 @@ class TestCanonicalWriterGolden:
         assert str(raised.value) == str(expected.value)
         assert "non-finite" in str(raised.value)
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_ARRAYS))
-    def test_array_bytes_match_its_rows(self, name):
-        array = GOLDEN_ARRAYS[name]
-        assert array.dtype == np.float64 and array.ndim == 2
-        if name == "transposed view":
-            assert not array.flags.c_contiguous
-        # at the top level and nested, as gram and basis blocks sit
-        assert dumps_canonical(array) == reference_dumps(array.tolist())
-        payload = {"gram": array, "subspaces": [{"basis": array}, {"basis": array}]}
-        rows = array.tolist()
-        assert dumps_canonical(payload) == reference_dumps(
-            {"gram": rows, "subspaces": [{"basis": rows}, {"basis": rows}]}
-        )
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_in_array_raises_the_list_error(self, bad):
-        # the first non-finite entry in row order is named, also in a
-        # transposed view, whose memory order differs
-        stored = np.ones((3, 4))
-        stored[0, 2] = -bad
-        stored[2, 0] = bad
-        for array in (stored, stored.T):
-            with pytest.raises(ValueError) as expected:
-                reference_dumps({"basis": array.tolist()})
-            with pytest.raises(ValueError) as raised:
-                dumps_canonical({"basis": array})
-            assert str(raised.value) == str(expected.value)
-            assert "non-finite" in str(raised.value)
-
-    def test_digest_is_the_hash_of_the_generated_file(self, tmp_path):
+    def test_reindented_generated_file_keeps_its_digest(self, tmp_path):
         path = tmp_path / "instance.json"
         assert main(["gen", "--seed", "4", "--dim", "9", "--subspaces", "3",
                      "--output", str(path)]) == 0
         text = path.read_text(encoding="utf-8")
-        instance = parse_instance_text(text)
-        assert instance_digest(instance) == (
-            "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-        )
+        # other indentation, and each float in its shortest spelling
+        reindented = json.dumps(json.loads(text), indent=7)
+        assert reindented != text
+        digest = instance_digest(parse_instance_text(text))
+        assert digest.startswith("sha256-f8le:")
+        assert instance_digest(parse_instance_text(reindented)) == digest
 
     def test_digest_of_diagonal_coordinate_instance_with_negative_zeros(self):
         # diagonal W, coordinate subspaces: the form the paper's
@@ -783,12 +752,48 @@ class TestCanonicalWriterGolden:
             },
         }
         text = reference_dumps(payload)
-        assert text.count("-0.0000000000000000e+00") == 6
+        negative_zero = "-0.0000000000000000e+00"
+        assert text.count(negative_zero) == 6
         instance = parse_instance_text(text)
         assert serialize_instance(instance) == text
-        assert instance_digest(instance) == (
-            "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        digest = instance_digest(instance)
+        respelled = parse_instance_text(text.replace(negative_zero, "-0e0"))
+        assert instance_digest(respelled) == digest
+        positive = parse_instance_text(text.replace(negative_zero, "0.0"))
+        assert instance_digest(positive) != digest
+
+    @pytest.mark.parametrize("spelling", ["1e0", "1", "10e-1", "1.000"])
+    def test_digest_ignores_number_spelling(self, spelling):
+        text = json.dumps(minimal_payload())
+        respelled = text.replace("1.0", spelling)
+        assert respelled != text
+        assert instance_digest(parse_instance_text(respelled)) == (
+            instance_digest(parse_instance_text(text))
         )
+
+    def test_digest_tells_block_sizes_apart(self):
+        # the same float stream, split into blocks of 2 + 1 and of 1 + 2 rows
+        rows = np.eye(3).tolist()
+        payload = {
+            "dimension": 3,
+            "gram": np.eye(3).tolist(),
+            "subspaces": [{"basis": rows[:2]}, {"basis": rows[2:]}],
+            "weights": [1.0, 1.0],
+        }
+        first = instance_digest(parse_instance_text(json.dumps(payload)))
+        payload["subspaces"] = [{"basis": rows[:1]}, {"basis": rows[1:]}]
+        second = instance_digest(parse_instance_text(json.dumps(payload)))
+        assert first != second
+
+    def test_digest_does_not_depend_on_float_format(self, monkeypatch):
+        instance = parse_instance_text(
+            dumps_canonical(make_instance_payload(4, 9, 3))
+        )
+        text = serialize_instance(instance)
+        digest = instance_digest(instance)
+        monkeypatch.setattr(kfr.io, "FLOAT_FORMAT", "%.3e")
+        assert serialize_instance(instance) != text
+        assert instance_digest(instance) == digest
 
     def test_integer_gram_parses_to_float64(self):
         payload = minimal_payload()
@@ -821,9 +826,19 @@ class TestCanonicalWriterGolden:
             ],
             "weights": [1.0, 2],
         }
+        sizes = (3, 2, 2, 2, 6)  # dimension, blocks, their rows, epsilons
+        values = (
+            2.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.5,  # gram
+            1.0, 0.0, 0.0, 0.0, 1.0, 0.0,  # basis rows of subspace 0
+            0.0, 1.0, 0.0, 0.0, 0.0, 1.0,  # basis rows of subspace 1
+            1.0, 2.0,  # weights
+            1e-6, 1e-8, 1e-10,  # default tolerances
+            1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6,  # default sweep epsilons
+        )
+        stream = struct.pack("<5q", *sizes) + struct.pack("<32d", *values)
         instance = parse_instance_text(json.dumps(payload))
         assert instance_digest(instance) == (
-            "sha256:b809e222812c3ec61f9cd278bb466d6703b347cdf7025562acc94a7bb2b63795"
+            "sha256-f8le:" + hashlib.sha256(stream).hexdigest()
         )
 
 

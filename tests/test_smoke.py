@@ -1,6 +1,9 @@
 """Large-dimension smoke: the full pipeline at d = 64 stays fast and sane."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from kfr.fusion import FrameGeometry, frame_bounds
 from kfr.generators import random_gram, random_invariant_family
@@ -79,3 +82,15 @@ def test_public_names_are_importable_and_listed():
     namespace = {}
     exec("from kfr import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+def test_version_is_defined_once_in_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        config = tomllib.load(handle)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "kfr.__version__"
+    }
