@@ -11,7 +11,7 @@ companion-geometry counterpart. A deterministic CLI (``kfr``) exposes
 the analyses over JSON instance files.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from types import ModuleType as _ModuleType
 
@@ -44,10 +44,8 @@ from .krein import (
 from .linalg import (
     ConvergenceError,
     EigenDecomposition,
-    EigenvalueDomainError,
     MetricError,
     extremal_rayleigh,
-    matrix_function,
     orthonormalize,
     symmetric_eig,
 )
@@ -62,7 +60,6 @@ from .spectral import (
 from .subspaces import (
     ComposedProjectionError,
     DegenerateSubspaceError,
-    Projection,
     Subspace,
     check_j_orthonormal,
     is_projectively_complete,

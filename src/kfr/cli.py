@@ -50,7 +50,6 @@ from .io import (
 from .krein import KernelError, norm_equivalence_constants
 from .linalg import (
     ConvergenceError,
-    EigenvalueDomainError,
     MetricError,
     frobenius,
 )
@@ -84,7 +83,6 @@ EXIT_THEOREM = 3
 NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
     ConvergenceError,
-    EigenvalueDomainError,
     MetricError,
     KernelError,
     DegenerateSubspaceError,
@@ -233,13 +231,20 @@ def _custom_gram_family(path: str, instance: ProblemInstance):
         )
     members = {}
     for index, item in enumerate(data):
-        member = instance_from_tree(item, source=f"{path}[{index}]")
+        source = f"{path}[{index}]"
+        try:
+            member = instance_from_tree(item, source=source)
+        except InstanceValidationError as exc:
+            raise InstanceValidationError(f"{source}: {exc}") from exc
         if member.dimension != instance.dimension:
             raise InstanceValidationError(
                 f"family member {index} has dimension {member.dimension}, "
                 f"expected {instance.dimension}"
             )
-        gram = build_instance_gram(member)
+        try:
+            gram = build_instance_gram(member)
+        except KernelError as exc:
+            raise KernelError(f"{source}: {exc}") from exc
         epsilon = gram.regularity.min_abs_eigenvalue
         if epsilon in members:
             raise InstanceValidationError(
@@ -293,7 +298,7 @@ def _spectral_checks(gram, cluster_tol: float):
     representation = spectral_representation(gram, cluster_tol)
     family = ortho_basis_of_subspaces(representation)
     projection_sum = sum(
-        orthogonal_projection(s, identity).matrix for s in family.subspaces
+        orthogonal_projection(s, identity) for s in family.subspaces
     )
     sum_residual = frobenius(projection_sum - identity)
     decomposition = krein_decomposition(gram, representation)
@@ -401,7 +406,7 @@ def run_check(instance: ProblemInstance, args) -> tuple[dict, int]:
                 f"subspace {index} is degenerate under the indefinite form",
                 witness=completeness.witness,
             )
-        Q = j_projection_from_check(subspace, gram, completeness).matrix
+        Q = j_projection_from_check(subspace, gram, completeness)
         if (
             frobenius(Q @ Q - Q) > 1e-9 * max(1.0, frobenius(Q))
             or frobenius(gram.matrix @ Q - Q.T @ gram.matrix) > 1e-9
@@ -409,7 +414,7 @@ def run_check(instance: ProblemInstance, args) -> tuple[dict, int]:
             projection_ok = False
         try:
             composed = composed_projection_from_check(subspace, gram, completeness)
-            if frobenius(composed.matrix - Q) > 1e-8 * max(1.0, frobenius(Q)):
+            if frobenius(composed - Q) > 1e-8 * max(1.0, frobenius(Q)):
                 cross_ok = False
         except ComposedProjectionError:
             notes.append(

@@ -159,10 +159,10 @@ def analysis_operator(
     if kind == J_ORTHOGONAL and gram is None:
         raise ValueError("J-orthogonal projections need a Gram operator")
     if kind == ORTHOGONAL:
-        projections = (orthogonal_projection(s, G).matrix for s in family.subspaces)
+        projections = (orthogonal_projection(s, G) for s in family.subspaces)
     else:
         projections = (
-            j_orthogonal_projection_gram(s, gram).matrix for s in family.subspaces
+            j_orthogonal_projection_gram(s, gram) for s in family.subspaces
         )
     return _stack(family, G, projections)
 
@@ -230,10 +230,10 @@ class FrameGeometry:
         if kind not in self._operators:
             G, subspaces = self.gram.abs_matrix, self.family.subspaces
             if kind == ORTHOGONAL:
-                projections = (orthogonal_projection(s, G).matrix for s in subspaces)
+                projections = (orthogonal_projection(s, G) for s in subspaces)
             elif kind == J_ORTHOGONAL:
                 projections = (
-                    j_projection_from_check(s, self.gram, check).matrix
+                    j_projection_from_check(s, self.gram, check)
                     for s, check in zip(subspaces, self.checks)
                 )
             else:

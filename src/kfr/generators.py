@@ -6,9 +6,9 @@ of the positive spectral half-space and a piece of the negative one.
 Invariant subspaces are automatically nondegenerate, both J-orthogonal
 projection constructions exist and coincide on them, and the transfer
 and equivalence theorems hold with equal optimal bounds, which makes
-these families the right default for theorem-grade fixtures. Plain
-(non-invariant) samplers are provided separately for the checks that do
-not need invariance.
+these families the right default for theorem-grade fixtures. A check
+that needs a non-invariant subspace draws its columns itself and passes
+them to ``subspace_from_columns``.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ import numpy as np
 from .fusion import WeightedSubspaceFamily
 from .krein import EPSILON_THRESHOLD, GramOperator, build_gram
 from .linalg import orthonormalize
-from .subspaces import Subspace, subspace_from_columns
+from .subspaces import Subspace
 
 __all__ = [
     "random_orthogonal",
     "random_spectrum_gram",
     "random_gram",
-    "random_subspace",
     "random_invariant_subspace",
     "random_invariant_family",
     "make_instance_payload",
@@ -80,11 +79,6 @@ def random_gram(
     signs = np.ones(dim)
     signs[:negatives] = -1.0
     return random_spectrum_gram(rng, signs * magnitudes, epsilon_threshold)
-
-
-def random_subspace(rng: np.random.Generator, dim: int, rank: int) -> Subspace:
-    """Uniformly random subspace with no relation to any Gram operator."""
-    return subspace_from_columns(rng.standard_normal((dim, rank)))
 
 
 def _spectral_halves(gram: GramOperator) -> tuple[np.ndarray, np.ndarray]:

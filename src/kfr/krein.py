@@ -18,7 +18,6 @@ import numpy as np
 
 from .linalg import (
     EigenDecomposition,
-    apply_spectral_function,
     as_square_matrix,
     symmetric_eig,
     symmetrize,
@@ -122,30 +121,22 @@ def build_gram(
             "gram matrix has a numerically nontrivial kernel: smallest "
             f"eigenvalue magnitude {smallest:.3e} against largest {largest:.3e}"
         )
-    ratio = smallest / largest
-    if ratio < epsilon_threshold:
-        report = RegularityReport(
-            min_abs_eigenvalue=smallest,
-            max_abs_eigenvalue=largest,
-            condition_number=largest / smallest,
-            classification=NEAR_SINGULAR,
-            epsilon=smallest,
-        )
-    else:
-        report = RegularityReport(
-            min_abs_eigenvalue=smallest,
-            max_abs_eigenvalue=largest,
-            condition_number=largest / smallest,
-            classification=REGULAR,
-            epsilon=None,
-        )
+    near_singular = smallest / largest < epsilon_threshold
+    report = RegularityReport(
+        min_abs_eigenvalue=smallest,
+        max_abs_eigenvalue=largest,
+        condition_number=largest / smallest,
+        classification=NEAR_SINGULAR if near_singular else REGULAR,
+        epsilon=smallest if near_singular else None,
+    )
+    root = np.sqrt(magnitudes)
     return GramOperator(
         matrix=W,
         eig=eig,
-        symmetry=apply_spectral_function(eig, lambda x: math.copysign(1.0, x)),
-        abs_matrix=apply_spectral_function(eig, abs),
-        sqrt_abs=apply_spectral_function(eig, lambda x: math.sqrt(abs(x))),
-        inv_sqrt_abs=apply_spectral_function(eig, lambda x: 1.0 / math.sqrt(abs(x))),
+        symmetry=eig.assemble(np.copysign(1.0, eig.eigenvalues)),
+        abs_matrix=eig.assemble(magnitudes),
+        sqrt_abs=eig.assemble(root),
+        inv_sqrt_abs=eig.assemble(1.0 / root),
         regularity=report,
     )
 

@@ -2,24 +2,22 @@
 
 Everything downstream needs lives here: one symmetric eigensolver entry
 point (LAPACK through ``np.linalg.eigh``), rank-revealing
-orthonormalization, spectral matrix functions and extremal generalized
-Rayleigh quotients for symmetric-definite pencils. All inputs and outputs
-are plain ``numpy.float64`` arrays; results are returned with
-``writeable=False`` so shared values cannot be mutated behind a caller's
-back.
+orthonormalization, the inverse square root of a metric and extremal
+generalized Rayleigh quotients for symmetric-definite pencils. A map on
+the spectrum is one vectorized call, :meth:`EigenDecomposition.assemble`.
+All inputs and outputs are plain ``numpy.float64`` arrays; results are
+returned with ``writeable=False`` so shared values cannot be mutated
+behind a caller's back.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "EigenvalueDomainError",
     "MetricError",
     "EigenDecomposition",
     "symmetrize",
@@ -27,8 +25,6 @@ __all__ = [
     "offdiag_frobenius",
     "symmetric_eig",
     "orthonormalize",
-    "matrix_function",
-    "apply_spectral_function",
     "inverse_sqrt_of_metric",
     "extremal_rayleigh",
 ]
@@ -51,17 +47,6 @@ METRIC_FLOOR = 1e-12
 
 class ConvergenceError(Exception):
     """Raised when the symmetric eigensolver does not converge."""
-
-
-class EigenvalueDomainError(Exception):
-    """Raised when a scalar function is undefined at an eigenvalue.
-
-    The offending eigenvalue is available as ``eigenvalue``.
-    """
-
-    def __init__(self, msg: str, eigenvalue: float):
-        super().__init__(msg)
-        self.eigenvalue = eigenvalue
 
 
 class MetricError(Exception):
@@ -130,10 +115,12 @@ class EigenDecomposition:
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
 
-    def reconstruct(self) -> np.ndarray:
-        """Assemble ``V diag(lambda) V^T``."""
+    def assemble(self, values) -> np.ndarray:
+        """Assemble ``V diag(values) V^T``: with ``values = f(lambda)`` this
+        is the matrix function ``f`` on the spectrum, and with ``values =
+        lambda`` it rebuilds the decomposed matrix."""
         V = self.eigenvectors
-        return symmetrize((V * self.eigenvalues) @ V.T)
+        return symmetrize((V * values) @ V.T)
 
 
 def symmetric_eig(matrix) -> EigenDecomposition:
@@ -193,34 +180,6 @@ def orthonormalize(columns, tol: float = RANK_TOL) -> np.ndarray:
     return basis * np.where(pivots < 0.0, -1.0, 1.0)
 
 
-def apply_spectral_function(
-    eig: EigenDecomposition, f: Callable[[float], float]
-) -> np.ndarray:
-    """Apply a scalar function on the spectrum: ``V diag(f(lambda)) V^T``."""
-    mapped = np.empty_like(eig.eigenvalues)
-    for k, lam in enumerate(eig.eigenvalues):
-        try:
-            value = f(float(lam))
-        except (ArithmeticError, ValueError) as exc:
-            raise EigenvalueDomainError(
-                f"scalar function undefined at eigenvalue {lam!r}: {exc}",
-                eigenvalue=float(lam),
-            ) from exc
-        if not math.isfinite(value):
-            raise EigenvalueDomainError(
-                f"scalar function not finite at eigenvalue {lam!r}",
-                eigenvalue=float(lam),
-            )
-        mapped[k] = value
-    V = eig.eigenvectors
-    return symmetrize((V * mapped) @ V.T)
-
-
-def matrix_function(matrix, f: Callable[[float], float]) -> np.ndarray:
-    """Symmetric matrix function through the eigendecomposition."""
-    return apply_spectral_function(symmetric_eig(matrix), f)
-
-
 def inverse_sqrt_of_metric(metric) -> np.ndarray:
     """``G^{-1/2}`` of a symmetric positive definite metric ``G``."""
     G = symmetrize(metric)
@@ -231,7 +190,7 @@ def inverse_sqrt_of_metric(metric) -> np.ndarray:
             "metric is not positive definite: eigenvalue range "
             f"[{smallest:.3e}, {largest:.3e}]"
         )
-    return apply_spectral_function(eig, lambda x: 1.0 / math.sqrt(x))
+    return eig.assemble(1.0 / np.sqrt(eig.eigenvalues))
 
 
 def extremal_rayleigh(matrix, metric) -> tuple[float, float]:

@@ -3,11 +3,12 @@
 A subspace is stored as a block of orthonormal columns. Projections come
 in two families: orthogonal projections with respect to an arbitrary SPD
 metric ``G`` and J-orthogonal projections with respect to the indefinite
-form of a Gram operator. The latter exist exactly when the compressed
-form ``B^T W B`` is invertible, the finite-dimensional reading of the
-projective completeness assumption; degenerate inputs raise
-:class:`DegenerateSubspaceError` with a witness vector of near-zero
-self-product.
+form of a Gram operator. Every constructor returns the projection's
+``(d, d)`` matrix as a read-only array. J-orthogonal projections exist
+exactly when the compressed form ``B^T W B`` is invertible, the
+finite-dimensional reading of the projective completeness assumption;
+degenerate inputs raise :class:`DegenerateSubspaceError` with a witness
+vector of near-zero self-product.
 
 Two independent J-orthogonal constructions are provided. The direct Gram
 formula is the workhorse. The composed product of two metric projections
@@ -27,6 +28,7 @@ from .krein import GramOperator, w_inner
 from .linalg import (
     EigenDecomposition,
     MetricError,
+    _freeze,
     frobenius,
     orthonormalize,
     symmetric_eig,
@@ -39,7 +41,6 @@ __all__ = [
     "ORTHOGONAL",
     "J_ORTHOGONAL",
     "Subspace",
-    "Projection",
     "CompletenessCheck",
     "subspace_from_columns",
     "spans_equal",
@@ -138,28 +139,6 @@ def spans_equal(a: Subspace, b: Subspace, tol: float = SPAN_TOL) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Projection:
-    """Idempotent map onto a subspace, tagged with its self-adjointness.
-
-    ``kind`` is ``"orthogonal"`` for G-self-adjoint projections (the
-    metric is then kept in ``metric``) and ``"j-orthogonal"`` for
-    projections self-adjoint with respect to the indefinite form.
-    """
-
-    matrix: np.ndarray
-    kind: str
-    metric: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-        if self.metric is not None:
-            self.metric.flags.writeable = False
-
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
-
-
 def _check_ambient(subspace: Subspace, dim: int):
     if subspace.ambient_dim != dim:
         raise ValueError(
@@ -167,7 +146,7 @@ def _check_ambient(subspace: Subspace, dim: int):
         )
 
 
-def orthogonal_projection(subspace: Subspace, metric) -> Projection:
+def orthogonal_projection(subspace: Subspace, metric) -> np.ndarray:
     """Orthogonal projection onto a subspace under an SPD metric.
 
     Computes ``B (B^T G B)^{-1} B^T G``. The compressed matrix is SPD for
@@ -178,13 +157,13 @@ def orthogonal_projection(subspace: Subspace, metric) -> Projection:
     _check_ambient(subspace, G.shape[0])
     B = subspace.basis
     if subspace.dim == 0:
-        return Projection(np.zeros_like(G), ORTHOGONAL, metric=G)
+        return _freeze(np.zeros_like(G))
     compressed = symmetrize(B.T @ G @ B)
     try:
         solved = np.linalg.solve(compressed, B.T @ G)
     except np.linalg.LinAlgError as exc:
         raise MetricError(f"metric is singular on the subspace: {exc}") from exc
-    return Projection(B @ solved, ORTHOGONAL, metric=G)
+    return _freeze(B @ solved)
 
 
 @dataclass(frozen=True)
@@ -249,19 +228,19 @@ def _require_complete(check: CompletenessCheck):
 
 def j_projection_from_check(
     subspace: Subspace, gram: GramOperator, check: CompletenessCheck
-) -> Projection:
+) -> np.ndarray:
     """:func:`j_orthogonal_projection_gram` from the subspace's ``check``."""
     if subspace.dim == 0:
-        return Projection(np.zeros((gram.dim, gram.dim)), J_ORTHOGONAL)
+        return _freeze(np.zeros((gram.dim, gram.dim)))
     _require_complete(check)
     B = subspace.basis
     solved = np.linalg.solve(check.compressed, B.T @ gram.matrix)
-    return Projection(B @ solved, J_ORTHOGONAL)
+    return _freeze(B @ solved)
 
 
 def j_orthogonal_projection_gram(
     subspace: Subspace, gram: GramOperator, tol: float = DEGENERACY_TOL
-) -> Projection:
+) -> np.ndarray:
     """J-orthogonal projection by the direct formula ``B (B^T W B)^{-1} B^T W``.
 
     Requires the subspace to be projectively complete; otherwise the
@@ -274,14 +253,14 @@ def j_orthogonal_projection_gram(
 
 def composed_projection_from_check(
     subspace: Subspace, gram: GramOperator, check: CompletenessCheck
-) -> Projection:
+) -> np.ndarray:
     """:func:`j_orthogonal_projection_composed` from the subspace's ``check``."""
     _require_complete(check)
     metric = gram.abs_matrix
     p_v = orthogonal_projection(subspace, metric)
     mapped = subspace_from_columns(gram.symmetry @ subspace.basis)
     p_jv = orthogonal_projection(mapped, metric)
-    Q = p_v.matrix @ p_jv.matrix
+    Q = p_v @ p_jv
 
     scale = max(1.0, frobenius(Q))
     residuals = {
@@ -297,12 +276,12 @@ def composed_projection_from_check(
             "invariant under the fundamental symmetry",
             residuals=residuals,
         )
-    return Projection(Q, J_ORTHOGONAL)
+    return _freeze(Q)
 
 
 def j_orthogonal_projection_composed(
     subspace: Subspace, gram: GramOperator, tol: float = DEGENERACY_TOL
-) -> Projection:
+) -> np.ndarray:
     """J-orthogonal projection as the product of two metric projections.
 
     Forms ``P_V P_{JV}`` with both factors orthogonal under the companion

@@ -98,8 +98,8 @@ def test_criterion_2_projection_cross_check():
         subspace = random_invariant_subspace(g, rng, 2 + seed % 2)
         direct = j_orthogonal_projection_gram(subspace, g)
         composed = j_orthogonal_projection_composed(subspace, g)
-        worst_gap = max(worst_gap, frobenius(direct.matrix - composed.matrix))
-        for Q in (direct.matrix, composed.matrix):
+        worst_gap = max(worst_gap, frobenius(direct - composed))
+        for Q in (direct, composed):
             worst_identity = max(
                 worst_identity,
                 frobenius(Q @ Q - Q),
@@ -307,7 +307,7 @@ def test_criterion_8_spectral_representation():
         rep = spectral_representation(g)
         family = ortho_basis_of_subspaces(rep)
         total = sum(
-            orthogonal_projection(s, np.eye(6)).matrix for s in family.subspaces
+            orthogonal_projection(s, np.eye(6)) for s in family.subspaces
         )
         worst_sum = max(worst_sum, frobenius(total - np.eye(6)))
         worst_mult = max(

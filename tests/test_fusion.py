@@ -88,7 +88,7 @@ class TestFrameOperator:
         for _ in range(30):
             k = rng.standard_normal(6)
             direct = sum(
-                w**2 * float(p.apply(k) @ G @ p.apply(k))
+                w**2 * float((p @ k) @ G @ (p @ k))
                 for w, p in zip(family.weights, projections)
             )
             assert float(k @ M @ k) == pytest.approx(direct, abs=1e-9 * max(1, direct))
@@ -111,9 +111,9 @@ class TestAnalysisOperator:
         reference = np.zeros((d, d))
         for weight, subspace in zip(family.weights, family.subspaces):
             if kind == ORTHOGONAL:
-                P = orthogonal_projection(subspace, G).matrix
+                P = orthogonal_projection(subspace, G)
             else:
-                P = j_orthogonal_projection_gram(subspace, g).matrix
+                P = j_orthogonal_projection_gram(subspace, g)
             reference += weight**2 * (P.T @ G @ P)
         A = analysis_operator(family, G, kind, g)
         assert A.shape == (sum(s.dim for s in family.subspaces), d)

@@ -323,6 +323,32 @@ class TestCli:
         assert captured.out == ""
         assert f"{family_path}[1]" in captured.err
 
+    @pytest.mark.parametrize(
+        "field, value, code, message",
+        [
+            ("gram", [[1.0, 0.0]], 1, "gram must have 2 rows, found 1"),
+            ("weights", [1.0, -1.0], 1, "weights must be positive"),
+            ("gram", [[1.0, 0.0], [0.0, 0.0]], 2, "nontrivial kernel"),
+        ],
+    )
+    def test_sweep_family_file_names_an_invalid_member(
+        self, tmp_path, capsys, field, value, code, message
+    ):
+        instance_path = write_instance(tmp_path, minimal_payload())
+        member = minimal_payload()
+        member[field] = value
+        family_path = tmp_path / "family.json"
+        family_path.write_text(
+            json.dumps([minimal_payload(), member]), encoding="utf-8"
+        )
+        assert main(
+            ["sweep", "--input", instance_path, "--family", str(family_path)]
+        ) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"kfr: {family_path}[1]: ")
+        assert message in captured.err
+
     def test_spectral_command(self, tmp_path, capsys):
         payload = {
             "dimension": 3,
@@ -887,3 +913,26 @@ class TestHostileNumbers:
         instance = write_instance(tmp_path, payload, name="hostile.json")
         assert main([command, "--input", instance]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scale, command",
+        [
+            (1e300, ["check"]),
+            (1e300, ["spectral"]),
+            (1e-310, ["analyze", "--metric", "krein"]),
+            (1e-310, ["check"]),
+            (1e-310, ["spectral"]),
+        ],
+    )
+    def test_extreme_magnitude_gram_exits_1(self, tmp_path, capsys, scale, command):
+        # finite entries whose polar factors or residuals leave double range
+        payload = make_instance_payload(1, 6, 3)
+        payload["gram"] = (np.array(payload["gram"]) * scale).tolist()
+        instance = write_instance(tmp_path, payload, name="extreme.json")
+        with np.errstate(all="ignore"):
+            code = main([command[0], "--input", instance, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("kfr: ")
+        assert "Traceback" not in captured.err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from kfr.krein import (
     norm_equivalence_constants,
     w_inner,
 )
-from kfr.linalg import frobenius
+from kfr.linalg import frobenius, symmetrize
+from kfr.transfer import diagonal_gram_family
 
 
 def random_invertible_symmetric(seed, d):
@@ -160,3 +163,32 @@ class TestNormEquivalence:
             x /= np.linalg.norm(x)
             jn = j_norm(g, x) ** 2
             assert lower - 1e-9 <= jn <= upper + 1e-9
+
+
+def loop_polar_factors(eig):
+    """Reference polar factors: each scalar map applied by a per-eigenvalue
+    ``math`` loop, then assembled as ``V diag(f(lambda)) V^T``."""
+    maps = {
+        "symmetry": lambda x: math.copysign(1.0, x),
+        "abs_matrix": abs,
+        "sqrt_abs": lambda x: math.sqrt(abs(x)),
+        "inv_sqrt_abs": lambda x: 1.0 / math.sqrt(abs(x)),
+    }
+    V = eig.eigenvectors
+    return {
+        name: symmetrize((V * np.array([f(float(x)) for x in eig.eigenvalues])) @ V.T)
+        for name, f in maps.items()
+    }
+
+
+@pytest.mark.parametrize("case", ["dense", "tied diagonal", "sweep member"])
+def test_polar_factors_match_the_per_eigenvalue_loop_bit_for_bit(case):
+    # numpy's copysign, abs, sqrt and division round exactly like math's
+    if case == "dense":
+        g = build_gram(random_invertible_symmetric(7, 40))
+    elif case == "tied diagonal":
+        g = build_gram(np.diag([2.0, -1.5, 2.0, 0.75, -1.5, 2.0, 0.75, -1.5]))
+    else:
+        g = diagonal_gram_family(6)(1e-6)
+    for name, reference in loop_polar_factors(g.eig).items():
+        assert np.array_equal(getattr(g, name), reference), name

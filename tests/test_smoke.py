@@ -47,13 +47,12 @@ def test_pipeline_dimension_64():
 #: imports; every one must stay importable from ``kfr`` and listed.
 PUBLIC_NAMES = (
     "__version__",
-    "ConvergenceError", "EigenDecomposition", "EigenvalueDomainError",
-    "MetricError", "extremal_rayleigh", "matrix_function", "orthonormalize",
-    "symmetric_eig",
+    "ConvergenceError", "EigenDecomposition", "MetricError",
+    "extremal_rayleigh", "orthonormalize", "symmetric_eig",
     "GramOperator", "KernelError", "RegularityReport", "build_gram", "j_inner",
     "j_norm", "norm_equivalence_constants", "w_inner",
-    "ComposedProjectionError", "DegenerateSubspaceError", "Projection",
-    "Subspace", "check_j_orthonormal", "is_projectively_complete",
+    "ComposedProjectionError", "DegenerateSubspaceError", "Subspace",
+    "check_j_orthonormal", "is_projectively_complete",
     "j_orthogonal_complement", "j_orthogonal_projection_composed",
     "j_orthogonal_projection_gram", "j_orthonormal_basis",
     "orthogonal_projection", "spans_equal", "subspace_from_columns",
@@ -94,3 +93,15 @@ def test_version_is_defined_once_in_the_package():
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "kfr.__version__"
     }
+
+
+def test_bench_span_targets_resolve():
+    # bench/spans.py looks each traced function up by name
+    import importlib
+    import runpy
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    for module, names in runpy.run_path(str(path))["TARGETS"].items():
+        owner = importlib.import_module(f"kfr.{module}")
+        for name in names:
+            assert callable(getattr(owner, name, None)), f"kfr.{module}.{name}"

@@ -91,7 +91,7 @@ class TestSpectralRepresentation:
         assert frobenius(stacked.T @ stacked - np.eye(6)) <= 1e-9
         for block in rep.blocks:
             P = orthogonal_projection(Subspace(block.basis.copy()), np.eye(6))
-            resid = (np.eye(6) - P.matrix) @ g.matrix @ P.matrix
+            resid = (np.eye(6) - P) @ g.matrix @ P
             assert frobenius(resid) <= 1e-9
 
     def test_cluster_warning_on_ambiguous_gap(self):
@@ -131,7 +131,7 @@ class TestOrthoBasisOfSubspaces:
         g = planted_gram(200 + seed, [1.5, 1.5, -0.5, 2.5, 2.5, 2.5])
         family = ortho_basis_of_subspaces(spectral_representation(g))
         total = sum(
-            orthogonal_projection(s, np.eye(6)).matrix for s in family.subspaces
+            orthogonal_projection(s, np.eye(6)) for s in family.subspaces
         )
         assert frobenius(total - np.eye(6)) <= 1e-9
         assert frame_bounds(family, np.eye(6)).is_parseval

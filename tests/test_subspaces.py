@@ -11,11 +11,13 @@ from kfr.subspaces import (
     DegenerateSubspaceError,
     Subspace,
     check_j_orthonormal,
+    composed_projection_from_check,
     is_projectively_complete,
     j_orthogonal_complement,
     j_orthogonal_projection_composed,
     j_orthogonal_projection_gram,
     j_orthonormal_basis,
+    j_projection_from_check,
     orthogonal_projection,
     spans_equal,
     subspace_from_columns,
@@ -47,34 +49,57 @@ class TestSubspaceType:
 class TestOrthogonalProjection:
     def test_coordinate_projection(self):
         p = orthogonal_projection(line(1.0, 0.0), np.eye(2))
-        assert np.allclose(p.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_full_space(self):
         p = orthogonal_projection(Subspace(np.eye(2)), np.diag([2.0, 3.0]))
-        assert np.allclose(p.matrix, np.eye(2), atol=1e-12)
+        assert np.allclose(p, np.eye(2), atol=1e-12)
 
     def test_weighted_metric_formula(self):
         # oracle: evaluate B (B^T G B)^{-1} B^T G by hand
         p = orthogonal_projection(line(1.0, 1.0), np.diag([2.0, 3.0]))
         expected = np.array([[2.0, 3.0], [2.0, 3.0]]) / 5.0
-        assert np.allclose(p.matrix, expected, atol=1e-12)
+        assert np.allclose(p, expected, atol=1e-12)
         G = np.diag([2.0, 3.0])
-        assert frobenius(p.matrix @ p.matrix - p.matrix) <= 1e-9
-        assert frobenius(G @ p.matrix - p.matrix.T @ G) <= 1e-9
+        assert frobenius(p @ p - p) <= 1e-9
+        assert frobenius(G @ p - p.T @ G) <= 1e-9
 
     def test_fixes_the_subspace(self):
         rng = np.random.default_rng(4)
         s = subspace_from_columns(rng.standard_normal((6, 2)))
         G = np.diag(rng.uniform(0.5, 3.0, 6))
         p = orthogonal_projection(s, G)
-        assert frobenius(p.matrix @ s.basis - s.basis) <= 1e-10
+        assert frobenius(p @ s.basis - s.basis) <= 1e-10
+
+
+PROJECTION_CONSTRUCTORS = {
+    "orthogonal": lambda s, g: orthogonal_projection(s, g.abs_matrix),
+    "j from check": lambda s, g: j_projection_from_check(
+        s, g, is_projectively_complete(s, g)
+    ),
+    "j gram": j_orthogonal_projection_gram,
+    "composed from check": lambda s, g: composed_projection_from_check(
+        s, g, is_projectively_complete(s, g)
+    ),
+    "composed": j_orthogonal_projection_composed,
+}
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+@pytest.mark.parametrize("constructor", sorted(PROJECTION_CONSTRUCTORS))
+def test_projections_are_read_only_arrays(constructor, rank):
+    g = build_gram(np.diag([2.0, -3.0]))
+    s = Subspace(np.eye(2)[:, :rank])
+    P = PROJECTION_CONSTRUCTORS[constructor](s, g)
+    assert type(P) is np.ndarray and P.shape == (2, 2)
+    assert P.flags.writeable is False
 
 
 class TestJOrthogonalProjectionGram:
     def test_aligned_coordinate_subspace(self):
         g = build_gram(np.diag([2.0, -3.0]))
         q = j_orthogonal_projection_gram(line(1.0, 0.0), g)
-        assert np.allclose(q.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(q, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_neutral_line_is_degenerate(self):
         g = build_gram(np.diag([1.0, -1.0]))
@@ -89,12 +114,12 @@ class TestJOrthogonalProjectionGram:
         g = build_gram(np.diag([2.0, -3.0]))
         q = j_orthogonal_projection_gram(line(1.0, 1.0), g)
         expected = np.array([[-2.0, 3.0], [-2.0, 3.0]])
-        assert np.allclose(q.matrix, expected, atol=1e-9)
+        assert np.allclose(q, expected, atol=1e-9)
         v = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        assert np.allclose(q.apply(v), v, atol=1e-9)
+        assert np.allclose(q @ v, v, atol=1e-9)
         W = g.matrix
-        assert frobenius(W @ q.matrix - q.matrix.T @ W) <= 1e-9
-        assert frobenius(q.matrix @ q.matrix - q.matrix) <= 1e-9
+        assert frobenius(W @ q - q.T @ W) <= 1e-9
+        assert frobenius(q @ q - q) <= 1e-9
 
 
 class TestComposedProjection:
@@ -103,12 +128,12 @@ class TestComposedProjection:
         s = line(3.0, 4.0)
         composed = j_orthogonal_projection_composed(s, g)
         plain = orthogonal_projection(s, np.eye(2))
-        assert np.allclose(composed.matrix, plain.matrix, atol=1e-12)
+        assert np.allclose(composed, plain, atol=1e-12)
 
     def test_eigen_aligned(self):
         g = build_gram(np.diag([2.0, -3.0]))
         q = j_orthogonal_projection_composed(line(0.0, 1.0), g)
-        assert np.allclose(q.matrix, np.diag([0.0, 1.0]), atol=1e-12)
+        assert np.allclose(q, np.diag([0.0, 1.0]), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_gram_formula_on_invariant_subspaces(self, seed):
@@ -117,7 +142,7 @@ class TestComposedProjection:
         s = random_invariant_subspace(g, rng, 2)
         direct = j_orthogonal_projection_gram(s, g)
         composed = j_orthogonal_projection_composed(s, g)
-        assert frobenius(direct.matrix - composed.matrix) <= 1e-8
+        assert frobenius(direct - composed) <= 1e-8
 
     def test_flags_non_invariant_subspace(self):
         rng = np.random.default_rng(12)
@@ -174,10 +199,10 @@ class TestProjectionConjugation:
         g = random_gram(rng, 6)
         s = subspace_from_columns(rng.standard_normal((6, 2)))
         plain = orthogonal_projection(s, np.eye(6))
-        conjugated = g.inv_sqrt_abs @ plain.matrix @ g.sqrt_abs
+        conjugated = g.inv_sqrt_abs @ plain @ g.sqrt_abs
         image = subspace_from_columns(g.inv_sqrt_abs @ s.basis)
         direct = orthogonal_projection(image, g.abs_matrix)
-        assert frobenius(conjugated - direct.matrix) <= 1e-8
+        assert frobenius(conjugated - direct) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetry_conjugation(self, seed):
@@ -190,7 +215,7 @@ class TestProjectionConjugation:
         p_mapped = orthogonal_projection(
             subspace_from_columns(J @ s.basis), g.abs_matrix
         )
-        assert frobenius(p_mapped.matrix - J @ p_v.matrix @ J) <= 1e-9
+        assert frobenius(p_mapped - J @ p_v @ J) <= 1e-9
 
 
 class TestProjectiveCompleteness:
