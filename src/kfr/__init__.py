@@ -11,7 +11,7 @@ companion-geometry counterpart. A deterministic CLI (``kfr``) exposes
 the analyses over JSON instance files.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from types import ModuleType as _ModuleType
 
@@ -19,6 +19,7 @@ from .fusion import (
     FrameBounds,
     FourWayReport,
     FrameGeometry,
+    JProjectionReport,
     LocalFrameReport,
     LocalFrameSystem,
     WeightedSubspaceFamily,
@@ -34,11 +35,14 @@ from .fusion import (
 from .krein import (
     GramOperator,
     KernelError,
+    PolarReport,
     RegularityReport,
     build_gram,
     j_inner,
     j_norm,
     norm_equivalence_constants,
+    norm_equivalence_holds,
+    verify_polar_identities,
     w_inner,
 )
 from .linalg import (
@@ -52,6 +56,7 @@ from .linalg import (
 from .spectral import (
     AtomicMeasure,
     KreinDecomposition,
+    SpectralReport,
     SpectralRepresentation,
     krein_decomposition,
     ortho_basis_of_subspaces,

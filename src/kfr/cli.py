@@ -44,28 +44,18 @@ from .io import (
     dumps_canonical,
     instance_digest,
     instance_from_tree,
+    non_finite_path,
     parse_instance,
     parse_instance_text,
 )
-from .krein import KernelError, norm_equivalence_constants
-from .linalg import (
-    ConvergenceError,
-    MetricError,
-    frobenius,
-)
-from .spectral import (
-    krein_decomposition,
-    ortho_basis_of_subspaces,
-    spectral_representation,
-)
+from .krein import KernelError, norm_equivalence_holds, verify_polar_identities
+from .linalg import ConvergenceError, MetricError
+from .spectral import SpectralReport
 from .subspaces import (
     ComposedProjectionError,
     DegenerateSubspaceError,
     J_ORTHOGONAL,
     ORTHOGONAL,
-    composed_projection_from_check,
-    j_projection_from_check,
-    orthogonal_projection,
 )
 from .transfer import (
     RegularityError,
@@ -92,6 +82,10 @@ NUMERICAL_ERRORS = (
 
 COMMANDS = ("analyze", "equivalence", "transfer", "sweep", "spectral", "check", "gen")
 
+#: Seeded random vectors ``check`` samples for norm equivalence and for the
+#: frame definition, one block each from one ``default_rng(0)`` stream.
+CHECK_SAMPLES = 200
+
 logger = logging.getLogger("kfr")
 
 
@@ -116,6 +110,10 @@ def _bounds_payload(bounds: FrameBounds | None) -> dict | None:
         "isTight": bounds.is_tight,
         "isParseval": bounds.is_parseval,
     }
+
+
+def _atoms(measure) -> list[dict]:
+    return [{"location": loc, "mass": mass} for loc, mass in measure.atoms]
 
 
 def _finite_or_none(value: float):
@@ -234,8 +232,11 @@ def _custom_gram_family(path: str, instance: ProblemInstance):
         source = f"{path}[{index}]"
         try:
             member = instance_from_tree(item, source=source)
-        except InstanceValidationError as exc:
-            raise InstanceValidationError(f"{source}: {exc}") from exc
+        except (InstanceParseError, InstanceValidationError) as exc:
+            # some parse errors already name their source
+            if source in str(exc):
+                raise
+            raise type(exc)(f"{source}: {exc}") from exc
         if member.dimension != instance.dimension:
             raise InstanceValidationError(
                 f"family member {index} has dimension {member.dimension}, "
@@ -291,42 +292,15 @@ def run_sweep(instance: ProblemInstance, args) -> tuple[dict, int]:
     return sections, code
 
 
-def _spectral_checks(gram, cluster_tol: float):
-    """Spectral representation, its projection-sum residual and the Krein
-    bounds of its companion decomposition, with the two checks on them."""
-    identity = np.eye(gram.dim)
-    representation = spectral_representation(gram, cluster_tol)
-    family = ortho_basis_of_subspaces(representation)
-    projection_sum = sum(
-        orthogonal_projection(s, identity) for s in family.subspaces
-    )
-    sum_residual = frobenius(projection_sum - identity)
-    decomposition = krein_decomposition(gram, representation)
-    krein_bounds = FrameGeometry(decomposition.family(), gram).bounds(J_ORTHOGONAL)
-    checks = {
-        "projectionsSumToIdentity": sum_residual <= 1e-9,
-        "kreinParseval": krein_bounds.matches(1.0, 1.0),
-    }
-    return representation, family, decomposition, sum_residual, krein_bounds, checks
-
-
 def run_spectral(instance: ProblemInstance, args) -> tuple[dict, int]:
     gram = build_instance_gram(instance)
-    representation, family, decomposition, sum_residual, krein_bounds, shared = (
-        _spectral_checks(gram, instance.options.cluster_tol)
-    )
-    plain_bounds = frame_bounds(family, np.eye(gram.dim), ORTHOGONAL)
-    multiplication_residual = max(
-        frobenius(
-            block.basis.T @ gram.matrix @ block.basis - block.multiplication_matrix()
-        )
-        for block in representation.blocks
-    )
+    spectral = SpectralReport(gram, instance.options.cluster_tol)
+    representation = spectral.representation
     checks = {
-        "plainParseval": plain_bounds.is_parseval,
-        "projectionsSumToIdentity": shared["projectionsSumToIdentity"],
-        "multiplicationForm": multiplication_residual <= 1e-9,
-        "kreinParseval": shared["kreinParseval"],
+        "plainParseval": spectral.plain_bounds.is_parseval,
+        "projectionsSumToIdentity": spectral.projections_sum_to_identity,
+        "multiplicationForm": spectral.multiplication_form_holds,
+        "kreinParseval": spectral.krein_parseval,
     }
     sections = {
         "clusters": [
@@ -339,9 +313,7 @@ def run_spectral(instance: ProblemInstance, args) -> tuple[dict, int]:
                 "level": b.level,
                 "dimension": b.dim,
                 "eigenvalues": list(b.eigenvalues),
-                "measure": [
-                    {"location": loc, "mass": mass} for loc, mass in b.measure.atoms
-                ],
+                "measure": _atoms(b.measure),
             }
             for b in representation.blocks
         ],
@@ -349,18 +321,15 @@ def run_spectral(instance: ProblemInstance, args) -> tuple[dict, int]:
             {
                 "level": b.level,
                 "dimension": b.dim,
-                "weightedMeasure": [
-                    {"location": loc, "mass": mass}
-                    for loc, mass in b.weighted_measure.atoms
-                ],
+                "weightedMeasure": _atoms(b.weighted_measure),
                 "scaling": list(b.scaling),
             }
-            for b in decomposition.blocks
+            for b in spectral.decomposition.blocks
         ],
         "clusterWarnings": list(representation.warnings),
-        "projectionSumResidual": sum_residual,
-        "multiplicationFormResidual": multiplication_residual,
-        "kreinBounds": _bounds_payload(krein_bounds),
+        "projectionSumResidual": spectral.projection_sum_residual,
+        "multiplicationFormResidual": spectral.multiplication_form_residual,
+        "kreinBounds": _bounds_payload(spectral.krein_bounds),
         "checks": checks,
     }
     code = EXIT_OK if all(checks.values()) else EXIT_THEOREM
@@ -370,84 +339,37 @@ def run_spectral(instance: ProblemInstance, args) -> tuple[dict, int]:
 def run_check(instance: ProblemInstance, args) -> tuple[dict, int]:
     family = build_instance_family(instance)
     gram = build_instance_gram(instance)
-    d = gram.dim
-    identity = np.eye(d)
-    checks: dict[str, bool] = {}
-    notes: list[str] = []
-
-    polar_residuals = {
-        "symmetrySquared": frobenius(gram.symmetry @ gram.symmetry - identity),
-        "polarProduct": frobenius(gram.symmetry @ gram.abs_matrix - gram.matrix),
-        "commutation": frobenius(
-            gram.symmetry @ gram.matrix - gram.matrix @ gram.symmetry
-        ),
-        "rootSquared": frobenius(gram.sqrt_abs @ gram.sqrt_abs - gram.abs_matrix),
-    }
-    checks["polarIdentities"] = all(v <= 1e-9 for v in polar_residuals.values())
-
-    lower_const, upper_const = norm_equivalence_constants(gram)
-    # 200 random unit vectors, one per row, drawn as one block
+    polar = verify_polar_identities(gram)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((200, d))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    values = np.sum((x @ gram.abs_matrix) * x, axis=1)
-    checks["normEquivalence"] = bool(
-        np.all((lower_const - 1e-9 <= values) & (values <= upper_const + 1e-9))
-    )
-
+    x = rng.standard_normal((CHECK_SAMPLES, gram.dim))
+    k = rng.standard_normal((CHECK_SAMPLES, gram.dim))
     geometry = FrameGeometry(family, gram)
-    projection_ok = True
-    cross_ok = True
-    for index, (subspace, completeness) in enumerate(
-        zip(family.subspaces, geometry.checks)
-    ):
-        if not completeness:
-            raise DegenerateSubspaceError(
-                f"subspace {index} is degenerate under the indefinite form",
-                witness=completeness.witness,
-            )
-        Q = j_projection_from_check(subspace, gram, completeness)
-        if (
-            frobenius(Q @ Q - Q) > 1e-9 * max(1.0, frobenius(Q))
-            or frobenius(gram.matrix @ Q - Q.T @ gram.matrix) > 1e-9
-        ):
-            projection_ok = False
-        try:
-            composed = composed_projection_from_check(subspace, gram, completeness)
-            if frobenius(composed - Q) > 1e-8 * max(1.0, frobenius(Q)):
-                cross_ok = False
-        except ComposedProjectionError:
-            notes.append(
-                f"subspace {index}: composed construction not applicable "
-                "(not invariant under the fundamental symmetry)"
-            )
-    checks["projectionIdentities"] = projection_ok
-    checks["projectionCrossCheck"] = cross_ok
-
-    A = geometry.analysis_operator(J_ORTHOGONAL)
-    bounds = geometry.bounds(J_ORTHOGONAL)
-    k = rng.standard_normal((200, d))
-    values = np.sum((k @ A.T) ** 2, axis=1) / np.sum((k @ gram.abs_matrix) * k, axis=1)
-    checks["definitionConsistency"] = bool(
-        np.all((bounds.lower - 1e-8 <= values) & (values <= bounds.upper + 1e-8))
-    )
-
-    four_way = verify_four_way_equivalence(geometry)
-    checks["fourWayEquivalence"] = four_way.bounds_agree
-
-    shared = _spectral_checks(gram, instance.options.cluster_tol)[-1]
-    checks["spectralResolution"] = shared["projectionsSumToIdentity"]
-    checks["spectralKreinParseval"] = shared["kreinParseval"]
-
+    projections = geometry.verify_j_projections()
+    spectral = SpectralReport(gram, instance.options.cluster_tol)
+    checks = {
+        "polarIdentities": polar.holds,
+        "normEquivalence": norm_equivalence_holds(gram, x),
+        "projectionIdentities": projections.identities_hold,
+        "projectionCrossCheck": projections.cross_check_holds,
+        "definitionConsistency": geometry.definition_holds(k),
+        "fourWayEquivalence": verify_four_way_equivalence(geometry).bounds_agree,
+        "spectralResolution": spectral.projections_sum_to_identity,
+        "spectralKreinParseval": spectral.krein_parseval,
+    }
+    notes = list(projections.notes)
     if gram.is_regular:
         checks["regularTransferSandwich"] = transfer_regular(geometry).sandwich_holds
     else:
         notes.append("gram operator is near-singular; transfer sandwich skipped")
-
     sections = {
         "classification": gram.classification,
         "conditionNumber": gram.regularity.condition_number,
-        "polarResiduals": polar_residuals,
+        "polarResiduals": {
+            "symmetrySquared": polar.symmetry_squared,
+            "polarProduct": polar.polar_product,
+            "commutation": polar.commutation,
+            "rootSquared": polar.root_squared,
+        },
         "checks": checks,
         "notes": notes,
     }
@@ -569,7 +491,12 @@ def main(argv=None) -> int:
             "warnings": list(instance.warnings),
             "sections": sections,
         }
-        _emit(dumps_canonical(report), args.output)
+        try:
+            text = dumps_canonical(report)
+        except ValueError as exc:
+            # only a non-finite number stops a report: say where it is
+            raise ValueError(f"{non_finite_path(report)}: {exc}") from exc
+        _emit(text, args.output)
         logger.info(
             "%s finished with status %d in %.3fs",
             args.command,

@@ -25,13 +25,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .krein import GramOperator
-from .linalg import inverse_sqrt_of_metric, orthonormalize, symmetric_eig, symmetrize
+from .linalg import (
+    frobenius,
+    inverse_sqrt_of_metric,
+    orthonormalize,
+    symmetric_eig,
+    symmetrize,
+)
 from .subspaces import (
+    PROJECTION_IDENTITY_TOL,
     CompletenessCheck,
+    ComposedProjectionError,
     DegenerateSubspaceError,
     J_ORTHOGONAL,
     ORTHOGONAL,
     Subspace,
+    composed_projection_from_check,
     is_projectively_complete,
     j_orthogonal_projection_gram,
     j_projection_from_check,
@@ -45,6 +54,7 @@ __all__ = [
     "WeightedSubspaceFamily",
     "FrameBounds",
     "FrameGeometry",
+    "JProjectionReport",
     "FourWayReport",
     "LocalFrameSystem",
     "LocalFrameReport",
@@ -63,6 +73,21 @@ FRAME_TOL = 1e-10
 
 #: Relative gap under which bounds count as tight / Parseval.
 TIGHT_TOL = 1e-8
+
+#: Relative difference under which two bounds count as equal; eigensolver
+#: rounding is about ``d * eps`` relative.
+BOUNDS_MATCH_TOL = 1e-8
+
+#: Spread, relative to the largest upper bound, that four-way agreement
+#: forgives: near-zero lower bounds sit at the eigensolve's rounding.
+FOUR_WAY_NOISE_FLOOR = 1e-12
+
+#: Frobenius distance, relative to ``max(1, ||Q||)``, under which the composed
+#: J-projection, a product of two solves, matches the direct one.
+CROSS_CHECK_TOL = 1e-8
+
+#: Slack on sampled frame quotients against the optimal bounds they attain.
+DEFINITION_SLACK = 1e-8
 
 #: Condition-number cap for transporting operators.
 TRANSPORT_COND_CAP = 1e10
@@ -111,21 +136,21 @@ class FrameBounds:
     is_parseval: bool
 
     def matches(self, lower: float, upper: float) -> bool:
-        """Whether both bounds equal ``(lower, upper)`` to 1e-8 of ``max(1, |x|)``."""
+        """Whether both bounds equal ``(lower, upper)`` to ``BOUNDS_MATCH_TOL``
+        relative to ``max(1, |x|)``."""
         pairs = ((self.lower, lower), (self.upper, upper))
-        return all(abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b)) for a, b in pairs)
+        return all(
+            abs(a - b) <= BOUNDS_MATCH_TOL * max(1.0, abs(a), abs(b)) for a, b in pairs
+        )
 
 
 def classify_bounds(
-    lower: float,
-    upper: float,
-    frame_tol: float = FRAME_TOL,
-    tight_tol: float = TIGHT_TOL,
+    lower: float, upper: float, frame_tol: float = FRAME_TOL
 ) -> FrameBounds:
     lower = max(lower, 0.0)
     is_frame = lower > frame_tol
-    is_tight = is_frame and (upper - lower) <= tight_tol * upper
-    is_parseval = is_tight and abs(lower - 1.0) <= tight_tol
+    is_tight = is_frame and (upper - lower) <= TIGHT_TOL * upper
+    is_parseval = is_tight and abs(lower - 1.0) <= TIGHT_TOL
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
 
 
@@ -183,12 +208,10 @@ def _extreme_eigenvalues(whitened) -> tuple[float, float]:
     return float(values[0]), float(values[-1])
 
 
-def whitened_bounds(
-    whitened, frame_tol: float = FRAME_TOL, tight_tol: float = TIGHT_TOL
-) -> FrameBounds:
+def whitened_bounds(whitened, frame_tol: float = FRAME_TOL) -> FrameBounds:
     """Bounds of a whitened analysis operator ``F``: the extreme eigenvalues
     of ``F^T F`` (the lower one zero when ``F`` has fewer rows than columns)."""
-    return classify_bounds(*_extreme_eigenvalues(whitened), frame_tol, tight_tol)
+    return classify_bounds(*_extreme_eigenvalues(whitened), frame_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +219,8 @@ class FrameGeometry:
     """A family bound to a Gram operator. Each quantity of its companion-metric
     bounds is computed on first use and kept: the members' completeness checks,
     the analysis operator and its whitened extremes per projection kind.
-    Tolerances only classify the kept extremes."""
+    Tolerances only classify the kept extremes. It also checks the members'
+    J-orthogonal projections and the frame definition on sample vectors."""
 
     family: WeightedSubspaceFamily
     gram: GramOperator
@@ -248,11 +272,66 @@ class FrameGeometry:
             self._extremes[kind] = _extreme_eigenvalues(whitened)
         return self._extremes[kind]
 
-    def bounds(
-        self, kind: str, frame_tol: float = FRAME_TOL, tight_tol: float = TIGHT_TOL
-    ) -> FrameBounds:
-        """Optimal companion-metric bounds, classified by the tolerances."""
-        return classify_bounds(*self.extremes(kind), frame_tol, tight_tol)
+    def bounds(self, kind: str, frame_tol: float = FRAME_TOL) -> FrameBounds:
+        """Optimal companion-metric bounds, classified by ``frame_tol``."""
+        return classify_bounds(*self.extremes(kind), frame_tol)
+
+    def verify_j_projections(self) -> JProjectionReport:
+        """Check each member's J-orthogonal projection ``Q``: ``Q^2 = Q`` and
+        ``W Q = Q^T W`` to ``PROJECTION_IDENTITY_TOL``, and the composed
+        construction to ``CROSS_CHECK_TOL``. Each ``Q`` is dropped after its
+        checks, so none is kept. A degenerate member raises."""
+        gram = self.gram
+        identities_hold = cross_check_holds = True
+        notes = []
+        for index, (subspace, check) in enumerate(
+            zip(self.family.subspaces, self.checks)
+        ):
+            if not check:
+                raise DegenerateSubspaceError(
+                    f"subspace {index} is degenerate under the indefinite form",
+                    witness=check.witness,
+                )
+            Q = j_projection_from_check(subspace, gram, check)
+            scale = max(1.0, frobenius(Q))
+            if (
+                frobenius(Q @ Q - Q) > PROJECTION_IDENTITY_TOL * scale
+                or frobenius(gram.matrix @ Q - Q.T @ gram.matrix)
+                > PROJECTION_IDENTITY_TOL
+            ):
+                identities_hold = False
+            try:
+                composed = composed_projection_from_check(subspace, gram, check)
+            except ComposedProjectionError:
+                notes.append(
+                    f"subspace {index}: composed construction not applicable "
+                    "(not invariant under the fundamental symmetry)"
+                )
+                continue
+            if frobenius(composed - Q) > CROSS_CHECK_TOL * scale:
+                cross_check_holds = False
+        return JProjectionReport(identities_hold, cross_check_holds, tuple(notes))
+
+    def definition_holds(self, samples) -> bool:
+        """Whether ``|A k|^2 / k^T |W| k`` of each row ``k`` of ``samples``
+        lies within the J-orthogonal bounds up to ``DEFINITION_SLACK``."""
+        A = self.analysis_operator(J_ORTHOGONAL)
+        bounds = self.bounds(J_ORTHOGONAL)
+        values = np.sum((samples @ A.T) ** 2, axis=1) / np.sum(
+            (samples @ self.gram.abs_matrix) * samples, axis=1
+        )
+        lower, upper = bounds.lower - DEFINITION_SLACK, bounds.upper + DEFINITION_SLACK
+        return bool(np.all((lower <= values) & (values <= upper)))
+
+
+@dataclass(frozen=True)
+class JProjectionReport:
+    """Whether the members' J-projections satisfy their identities and match
+    the composed construction; a note per member it does not apply to."""
+
+    identities_hold: bool
+    cross_check_holds: bool
+    notes: tuple[str, ...]
 
 
 def frame_bounds(
@@ -261,23 +340,17 @@ def frame_bounds(
     kind: str = ORTHOGONAL,
     gram: GramOperator | None = None,
     frame_tol: float = FRAME_TOL,
-    tight_tol: float = TIGHT_TOL,
 ) -> FrameBounds:
     """Optimal frame bounds: extremes of ``|A k|^2 / k^T G k``."""
     G = symmetrize(metric)
     if gram is not None and np.array_equal(G, gram.abs_matrix):
-        return FrameGeometry(family, gram).bounds(kind, frame_tol, tight_tol)
+        return FrameGeometry(family, gram).bounds(kind, frame_tol)
     root = None if np.array_equal(G, np.eye(len(G))) else inverse_sqrt_of_metric(G)
     A = analysis_operator(family, G, kind, gram)
-    return whitened_bounds(A if root is None else A @ root, frame_tol, tight_tol)
+    return whitened_bounds(A if root is None else A @ root, frame_tol)
 
 
-def vector_frame_bounds(
-    vectors,
-    metric,
-    frame_tol: float = FRAME_TOL,
-    tight_tol: float = TIGHT_TOL,
-) -> FrameBounds:
+def vector_frame_bounds(vectors, metric, frame_tol: float = FRAME_TOL) -> FrameBounds:
     """Optimal bounds of a finite vector frame under an SPD metric.
 
     The quadratic form is ``sum_j <k, f_j>_G^2``: the analysis operator
@@ -287,7 +360,7 @@ def vector_frame_bounds(
     rows = np.array([np.asarray(f, dtype=float) for f in vectors])
     if rows.ndim != 2 or rows.shape[1] != G.shape[0]:
         raise ValueError(f"expected a nonempty list of ({G.shape[0]},) frame vectors")
-    return whitened_bounds(rows @ G @ inverse_sqrt_of_metric(G), frame_tol, tight_tol)
+    return whitened_bounds(rows @ G @ inverse_sqrt_of_metric(G), frame_tol)
 
 
 @dataclass(frozen=True)
@@ -297,7 +370,7 @@ class FourWayReport:
     Formulations: J-orthogonal projections on the family, the same on the
     symmetry-mapped family, and companion-metric orthogonal projections on
     both. ``bounds_agree`` holds when all lower and all upper bounds match
-    to the relative tolerance used in the check; degeneracies encountered
+    as :func:`verify_four_way_equivalence` checks; degeneracies encountered
     while building J-orthogonal projections are reported per item.
     """
 
@@ -319,20 +392,19 @@ class FourWayReport:
 
 
 def verify_four_way_equivalence(
-    geometry: FrameGeometry,
-    rel_tol: float = 1e-8,
-    frame_tol: float = FRAME_TOL,
+    geometry: FrameGeometry, frame_tol: float = FRAME_TOL
 ) -> FourWayReport:
     """Compute the four formulation bound pairs and whether they coincide.
 
     All four quadratic forms are normalized by the companion norm, so the
     four bound pairs are directly comparable. Agreement is relative: the
     spread of the four lower bounds (and of the four upper bounds) must
-    stay within ``rel_tol`` of the bound magnitude, plus an absolute
-    floor of ``1e-12`` times the form scale. The floor matters for
-    families that barely frame the space: their lower bounds sit at the
-    rounding noise of the eigensolve, where a purely relative comparison
-    would demand more precision than double arithmetic carries.
+    stay within ``BOUNDS_MATCH_TOL`` of the bound magnitude, plus an
+    absolute floor of ``FOUR_WAY_NOISE_FLOOR`` times the largest upper
+    bound. The floor matters for families that barely frame the space:
+    their lower bounds sit at the rounding noise of the eigensolve, where a
+    purely relative comparison would demand more precision than double
+    arithmetic carries.
     """
     mapped = geometry.mapped()
     labels_and_calls = (
@@ -353,12 +425,13 @@ def verify_four_way_equivalence(
     if agree:
         lows = [b.lower for b in results]
         highs = [b.upper for b in results]
-        low_scale = max(max(abs(v) for v in lows), 1e-300)
-        high_scale = max(max(abs(v) for v in highs), 1e-300)
-        noise_floor = 1e-12 * high_scale
-        agree = (max(lows) - min(lows)) <= rel_tol * low_scale + noise_floor and (
-            max(highs) - min(highs)
-        ) <= rel_tol * high_scale + noise_floor
+        low_scale = max(abs(v) for v in lows)
+        high_scale = max(abs(v) for v in highs)
+        noise_floor = FOUR_WAY_NOISE_FLOOR * high_scale
+        agree = (
+            max(lows) - min(lows) <= BOUNDS_MATCH_TOL * low_scale + noise_floor
+            and max(highs) - min(highs) <= BOUNDS_MATCH_TOL * high_scale + noise_floor
+        )
     return FourWayReport(
         q_on_subspaces=results[0],
         q_on_mapped=results[1],
@@ -484,14 +557,12 @@ def local_frames_to_fusion(
 
 
 def transport_by_invertible(
-    family: WeightedSubspaceFamily,
-    operator,
-    cond_cap: float = TRANSPORT_COND_CAP,
+    family: WeightedSubspaceFamily, operator
 ) -> WeightedSubspaceFamily:
     """Replace every subspace by the orthonormalized image under a map.
 
     Weights are unchanged. The map must be invertible with condition
-    number at most ``cond_cap``; frame-ness of the family is preserved by
+    number at most ``TRANSPORT_COND_CAP``; frame-ness of the family is preserved by
     any such map, and bounds are preserved exactly when the map is
     unitary between the source and target metrics.
     """
@@ -501,7 +572,7 @@ def transport_by_invertible(
         raise ValueError(f"operator shape {U.shape} does not match dimension {d}")
     singular_values = np.linalg.svd(U, compute_uv=False)
     if singular_values[-1] <= 0.0 or (
-        singular_values[0] / singular_values[-1] > cond_cap
+        singular_values[0] / singular_values[-1] > TRANSPORT_COND_CAP
     ):
         raise ValueError(
             "operator is numerically singular: singular values span "

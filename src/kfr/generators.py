@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fusion import WeightedSubspaceFamily
+from .fusion import FRAME_TOL, WeightedSubspaceFamily
 from .krein import EPSILON_THRESHOLD, GramOperator, build_gram
 from .linalg import orthonormalize
+from .spectral import CLUSTER_TOL
 from .subspaces import Subspace
 
 __all__ = [
@@ -166,8 +167,8 @@ def make_instance_payload(seed: int, dim: int, subspace_count: int) -> dict:
         "weights": [float(w) for w in family.weights],
         "options": {
             "epsilonThreshold": EPSILON_THRESHOLD,
-            "clusterTol": 1e-8,
-            "frameTol": 1e-10,
+            "clusterTol": CLUSTER_TOL,
+            "frameTol": FRAME_TOL,
             "sweepEpsilons": list(DEFAULT_SWEEP_EPSILONS),
         },
     }

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import WeightedSubspaceFamily
+from .fusion import FRAME_TOL, WeightedSubspaceFamily
 from .generators import DEFAULT_SWEEP_EPSILONS
-from .krein import GramOperator, build_gram
+from .krein import EPSILON_THRESHOLD, GramOperator, build_gram
+from .spectral import CLUSTER_TOL
 from .subspaces import subspace_from_columns
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "instance_payload",
     "serialize_instance",
     "instance_digest",
+    "non_finite_path",
     "build_instance_gram",
     "build_instance_family",
 ]
@@ -66,9 +68,9 @@ class InstanceValidationError(Exception):
 class InstanceOptions:
     """Tolerances and sweep grid carried by an instance."""
 
-    epsilon_threshold: float = 1e-6
-    cluster_tol: float = 1e-8
-    frame_tol: float = 1e-10
+    epsilon_threshold: float = EPSILON_THRESHOLD
+    cluster_tol: float = CLUSTER_TOL
+    frame_tol: float = FRAME_TOL
     sweep_epsilons: tuple[float, ...] = DEFAULT_SWEEP_EPSILONS
 
 
@@ -149,6 +151,21 @@ def dumps_canonical(obj) -> str:
     _write_canonical(obj, pieces, indent=2, level=0)
     pieces.append("\n")
     return "".join(pieces)
+
+
+def non_finite_path(obj, path: str = "") -> str | None:
+    """Key path, as ``a.b[2]``, of the first non-finite float that
+    :func:`dumps_canonical` meets in ``obj``, or ``None``. The writer keeps
+    no path, so only a write that failed pays for this search."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    steps = []
+    if isinstance(obj, dict):
+        steps = [(f"{path}.{key}" if path else key, v) for key, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        steps = [(f"{path}[{index}]", v) for index, v in enumerate(obj)]
+    found = (non_finite_path(value, step) for step, value in steps)
+    return next((step for step in found if step is not None), None)
 
 
 def _require(mapping: dict, key: str, kind, where: str):

@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     EigenDecomposition,
     as_square_matrix,
+    frobenius,
     symmetric_eig,
     symmetrize,
 )
@@ -34,6 +35,9 @@ __all__ = [
     "j_inner",
     "j_norm",
     "norm_equivalence_constants",
+    "PolarReport",
+    "verify_polar_identities",
+    "norm_equivalence_holds",
 ]
 
 #: Relative eigenvalue magnitude below which W is treated as having a kernel.
@@ -41,6 +45,14 @@ KERNEL_TOL = 1e-14
 
 #: Default relative threshold separating regular from near-singular operators.
 EPSILON_THRESHOLD = 1e-6
+
+#: Frobenius residual at or below which a polar identity holds; rounding
+#: leaves about ``d * eps * ||W||``.
+POLAR_IDENTITY_TOL = 1e-9
+
+#: Slack on ``||x||_J^2`` of unit ``x`` against the norm-equivalence
+#: constants, which eigenvectors of ``W`` attain up to rounding.
+NORM_EQUIVALENCE_SLACK = 1e-9
 
 REGULAR = "regular"
 NEAR_SINGULAR = "near-singular"
@@ -106,7 +118,7 @@ def build_gram(
 
     The polar factors come from one eigendecomposition: ``J`` applies the
     sign function on the spectrum, ``|W|`` the absolute value. A relative
-    eigenvalue magnitude at or below ``1e-14`` is a kernel violation and
+    eigenvalue magnitude at or below ``KERNEL_TOL`` is a kernel violation and
     raises :class:`KernelError`; a ratio below ``epsilon_threshold`` is
     classified near-singular with ``epsilon`` equal to the smallest
     magnitude.
@@ -179,3 +191,41 @@ def norm_equivalence_constants(gram: GramOperator) -> tuple[float, float]:
         gram.regularity.min_abs_eigenvalue,
         gram.regularity.max_abs_eigenvalue,
     )
+
+
+@dataclass(frozen=True)
+class PolarReport:
+    """Frobenius residuals of ``J^2 = I``, ``J |W| = W``, ``J W = W J`` and
+    ``(|W|^{1/2})^2 = |W|``; they hold when each is at most
+    ``POLAR_IDENTITY_TOL``."""
+
+    symmetry_squared: float
+    polar_product: float
+    commutation: float
+    root_squared: float
+
+    @property
+    def holds(self) -> bool:
+        return all(value <= POLAR_IDENTITY_TOL for value in vars(self).values())
+
+
+def verify_polar_identities(gram: GramOperator) -> PolarReport:
+    """Residuals of the cached polar factors against their identities."""
+    J, W, root = gram.symmetry, gram.matrix, gram.sqrt_abs
+    return PolarReport(
+        frobenius(J @ J - np.eye(gram.dim)),
+        frobenius(J @ gram.abs_matrix - W),
+        frobenius(J @ W - W @ J),
+        frobenius(root @ root - gram.abs_matrix),
+    )
+
+
+def norm_equivalence_holds(gram: GramOperator, samples) -> bool:
+    """Whether ``||x||_J^2`` of each row of ``samples``, scaled to unit
+    length, lies within :func:`norm_equivalence_constants` up to
+    ``NORM_EQUIVALENCE_SLACK``."""
+    lower, upper = norm_equivalence_constants(gram)
+    x = samples / np.linalg.norm(samples, axis=1, keepdims=True)
+    values = np.sum((x @ gram.abs_matrix) * x, axis=1)
+    slack = NORM_EQUIVALENCE_SLACK
+    return bool(np.all((lower - slack <= values) & (values <= upper + slack)))

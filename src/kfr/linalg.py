@@ -12,6 +12,7 @@ behind a caller's back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +30,15 @@ __all__ = [
     "extremal_rayleigh",
 ]
 
-#: Relative off-diagonal Frobenius norm at or below which ``symmetric_eig``
-#: treats its input as already diagonal and returns the exact diagonal with
-#: coordinate eigenvectors; LAPACK promises no order inside a repeated
+#: Off-diagonal Frobenius norm, as a fraction of the matrix's own and so at
+#: any scale, at or below which ``symmetric_eig`` returns the exact diagonal
+#: with coordinate eigenvectors; LAPACK promises no order inside a repeated
 #: eigenvalue. The value is the stopping threshold of the cyclic Jacobi
 #: solver LAPACK replaced, which returned such inputs after zero sweeps, so
 #: reports on diagonal metrics kept their bytes.
 ALREADY_DIAGONAL_TOL = 1e-13
 
-#: Default relative singular-value threshold for numerical rank decisions.
+#: Relative singular-value threshold for numerical rank decisions.
 RANK_TOL = 1e-10
 
 #: Relative eigenvalue floor below which a metric is treated as not positive
@@ -127,17 +128,20 @@ def symmetric_eig(matrix) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix.
 
     Eigenvalues come in ascending order. A matrix that is already diagonal
-    (off-diagonal Frobenius norm at most ``ALREADY_DIAGONAL_TOL *
-    max(1, ||M||_F)``) returns its exact diagonal, stably sorted, with
-    permuted unit vectors, so diagonal metrics keep coordinate order inside
-    repeated eigenvalues. Any other matrix goes to LAPACK through
-    ``np.linalg.eigh``. The result is deterministic for identical input and
-    BLAS thread count.
+    (off-diagonal Frobenius norm at most ``ALREADY_DIAGONAL_TOL * ||M||_F``)
+    returns its exact diagonal, stably sorted, with permuted unit vectors,
+    so diagonal metrics keep coordinate order inside repeated eigenvalues.
+    Any other matrix goes to LAPACK through ``np.linalg.eigh``. The result
+    is deterministic for identical input and BLAS thread count.
 
     Raises :class:`ConvergenceError` if LAPACK reports non-convergence.
     """
     M = symmetrize(matrix)
-    if offdiag_frobenius(M) <= ALREADY_DIAGONAL_TOL * max(1.0, frobenius(M)):
+    # the norms of M scaled by a power of two, which is exact: unscaled,
+    # their squares overflow above about 1e154 and underflow below 1e-154
+    _, exponent = math.frexp(np.abs(M).max(initial=0.0))
+    scaled = np.ldexp(M, -exponent)
+    if offdiag_frobenius(scaled) <= ALREADY_DIAGONAL_TOL * frobenius(scaled):
         values = np.diag(M).copy()
         order = np.argsort(values, kind="stable")
         return EigenDecomposition(values[order], np.eye(M.shape[0])[:, order])
@@ -148,16 +152,14 @@ def symmetric_eig(matrix) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-def orthonormalize(columns, tol: float = RANK_TOL) -> np.ndarray:
+def orthonormalize(columns) -> np.ndarray:
     """Orthonormal basis for the column span, compressed to numerical rank.
 
-    Singular directions with singular value at most ``tol`` times the
+    Singular directions with singular value at most ``RANK_TOL`` times the
     largest one are dropped, so rank-deficient input yields fewer columns
     rather than an error. All-zero input yields a ``(d, 0)`` array. Each
     column's largest-magnitude entry is positive.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     C = np.asarray(columns, dtype=float)
     if C.ndim == 1:
         C = C[:, None]
@@ -171,7 +173,7 @@ def orthonormalize(columns, tol: float = RANK_TOL) -> np.ndarray:
     U, sv, _ = np.linalg.svd(C, full_matrices=False)
     if sv.size == 0 or sv[0] == 0.0:
         return np.zeros((d, 0))
-    rank = int(np.sum(sv > tol * sv[0]))
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
     # LAPACK picks column signs freely, and inputs that differ at rounding
     # level (say, under another BLAS thread count) can get other signs; fix
     # each column's largest-magnitude entry positive

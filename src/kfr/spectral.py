@@ -18,15 +18,16 @@ under the indefinite form with J-orthogonal projections.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import WeightedSubspaceFamily
+from .fusion import FrameBounds, FrameGeometry, WeightedSubspaceFamily, frame_bounds
 from .krein import GramOperator
-from .linalg import orthonormalize
-from .subspaces import Subspace
+from .linalg import frobenius, orthonormalize
+from .subspaces import J_ORTHOGONAL, ORTHOGONAL, Subspace, orthogonal_projection
 
 __all__ = [
     "AtomicMeasure",
@@ -38,10 +39,15 @@ __all__ = [
     "spectral_representation",
     "ortho_basis_of_subspaces",
     "krein_decomposition",
+    "SpectralReport",
 ]
 
 #: Default eigenvalue clustering gap, relative to the spectral diameter.
 CLUSTER_TOL = 1e-8
+
+#: Frobenius residual at or below which a spectral identity holds (block
+#: projections summing to ``I``, ``W`` acting blockwise as multiplication).
+SPECTRAL_IDENTITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -282,3 +288,64 @@ def krein_decomposition(
             )
         )
     return KreinDecomposition(blocks=tuple(blocks))
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralReport:
+    """The spectral representation of a Gram operator and its checks; each
+    piece is computed on first read and kept, so a caller pays for what it
+    reads."""
+
+    gram: GramOperator
+    cluster_tol: float = CLUSTER_TOL
+
+    @functools.cached_property
+    def representation(self) -> SpectralRepresentation:
+        return spectral_representation(self.gram, self.cluster_tol)
+
+    @functools.cached_property
+    def family(self) -> WeightedSubspaceFamily:
+        return ortho_basis_of_subspaces(self.representation)
+
+    @functools.cached_property
+    def decomposition(self) -> KreinDecomposition:
+        return krein_decomposition(self.gram, self.representation)
+
+    @functools.cached_property
+    def projection_sum_residual(self) -> float:
+        """Frobenius distance of the summed block projections from ``I``."""
+        identity = np.eye(self.gram.dim)
+        subspaces = self.family.subspaces
+        projections = (orthogonal_projection(s, identity) for s in subspaces)
+        return frobenius(sum(projections) - identity)
+
+    @functools.cached_property
+    def multiplication_form_residual(self) -> float:
+        """Largest Frobenius distance of ``B^T W B`` from ``diag(values)``."""
+        W = self.gram.matrix
+        return max(
+            frobenius(b.basis.T @ W @ b.basis - b.multiplication_matrix())
+            for b in self.representation.blocks
+        )
+
+    @functools.cached_property
+    def plain_bounds(self) -> FrameBounds:
+        return frame_bounds(self.family, np.eye(self.gram.dim), ORTHOGONAL)
+
+    @functools.cached_property
+    def krein_bounds(self) -> FrameBounds:
+        """J-orthogonal bounds of the companion decomposition's blocks."""
+        family = self.decomposition.family()
+        return FrameGeometry(family, self.gram).bounds(J_ORTHOGONAL)
+
+    @property
+    def projections_sum_to_identity(self) -> bool:
+        return self.projection_sum_residual <= SPECTRAL_IDENTITY_TOL
+
+    @property
+    def multiplication_form_holds(self) -> bool:
+        return self.multiplication_form_residual <= SPECTRAL_IDENTITY_TOL
+
+    @property
+    def krein_parseval(self) -> bool:
+        return self.krein_bounds.matches(1.0, 1.0)

@@ -65,6 +65,12 @@ PROJECTION_IDENTITY_TOL = 1e-9
 #: Two spans are considered equal when cross-projection residuals stay below.
 SPAN_TOL = 1e-8
 
+#: Frobenius residual of ``B^T B = I`` up to which a basis is orthonormal.
+ORTHONORMALITY_TOL = 1e-10
+
+#: Residual of ``[e_i, e_j] = +-delta_ij``, at the projection identities' scale.
+J_ORTHONORMALITY_TOL = PROJECTION_IDENTITY_TOL
+
 ORTHOGONAL = "orthogonal"
 J_ORTHOGONAL = "j-orthogonal"
 
@@ -106,7 +112,7 @@ class Subspace:
         if not np.all(np.isfinite(B)):
             raise ValueError("basis must have finite entries")
         r = B.shape[1]
-        if r and frobenius(B.T @ B - np.eye(r)) > 1e-10:
+        if r and frobenius(B.T @ B - np.eye(r)) > ORTHONORMALITY_TOL:
             raise ValueError("basis columns are not orthonormal")
         B.flags.writeable = False
 
@@ -119,9 +125,9 @@ class Subspace:
         return int(self.basis.shape[1])
 
 
-def subspace_from_columns(columns, tol: float = 1e-10) -> Subspace:
+def subspace_from_columns(columns) -> Subspace:
     """Subspace spanned by arbitrary columns, compressed to numerical rank."""
-    return Subspace(orthonormalize(columns, tol=tol))
+    return Subspace(orthonormalize(columns))
 
 
 def spans_equal(a: Subspace, b: Subspace, tol: float = SPAN_TOL) -> bool:
@@ -191,16 +197,16 @@ class CompletenessCheck:
 
 
 def is_projectively_complete(
-    subspace: Subspace, gram: GramOperator, tol: float = DEGENERACY_TOL
+    subspace: Subspace, gram: GramOperator
 ) -> CompletenessCheck:
     """Whether the indefinite form is nondegenerate on the subspace.
 
-    True when the smallest singular value of ``B^T W B`` exceeds ``tol``
-    times the spectral magnitude of ``W``. The scale is the operator's,
-    not the compressed block's: a block that is uniformly tiny relative to
-    ``W`` is degenerate even though its own condition number is moderate,
-    and the J-orthogonal projection norm grows like the reciprocal of the
-    smallest compressed singular value.
+    True when the smallest singular value of ``B^T W B`` exceeds
+    ``DEGENERACY_TOL`` times the spectral magnitude of ``W``. The scale is
+    the operator's, not the compressed block's: a block that is uniformly
+    tiny relative to ``W`` is degenerate even though its own condition
+    number is moderate, and the J-orthogonal projection norm grows like the
+    reciprocal of the smallest compressed singular value.
     """
     _check_ambient(subspace, gram.dim)
     if subspace.dim == 0:
@@ -210,7 +216,7 @@ def is_projectively_complete(
     eig = symmetric_eig(compressed)
     magnitudes = np.abs(eig.eigenvalues)
     smallest, largest = float(magnitudes.min()), float(magnitudes.max())
-    complete = smallest > tol * gram.regularity.max_abs_eigenvalue
+    complete = smallest > DEGENERACY_TOL * gram.regularity.max_abs_eigenvalue
     witness = None
     if not complete:
         witness = B @ eig.eigenvectors[:, int(np.argmin(magnitudes))]
@@ -238,16 +244,14 @@ def j_projection_from_check(
     return _freeze(B @ solved)
 
 
-def j_orthogonal_projection_gram(
-    subspace: Subspace, gram: GramOperator, tol: float = DEGENERACY_TOL
-) -> np.ndarray:
+def j_orthogonal_projection_gram(subspace: Subspace, gram: GramOperator) -> np.ndarray:
     """J-orthogonal projection by the direct formula ``B (B^T W B)^{-1} B^T W``.
 
     Requires the subspace to be projectively complete; otherwise the
     compressed form is numerically singular and the projection does not
     exist.
     """
-    check = is_projectively_complete(subspace, gram, tol=tol)
+    check = is_projectively_complete(subspace, gram)
     return j_projection_from_check(subspace, gram, check)
 
 
@@ -280,7 +284,7 @@ def composed_projection_from_check(
 
 
 def j_orthogonal_projection_composed(
-    subspace: Subspace, gram: GramOperator, tol: float = DEGENERACY_TOL
+    subspace: Subspace, gram: GramOperator
 ) -> np.ndarray:
     """J-orthogonal projection as the product of two metric projections.
 
@@ -291,7 +295,7 @@ def j_orthogonal_projection_composed(
     so a caller can never mistake the composition for a projection it is
     not.
     """
-    check = is_projectively_complete(subspace, gram, tol=tol)
+    check = is_projectively_complete(subspace, gram)
     return composed_projection_from_check(subspace, gram, check)
 
 
@@ -316,34 +320,32 @@ def j_orthogonal_complement(subspace: Subspace, gram: GramOperator) -> Subspace:
     return subspace_from_columns(gram.symmetry @ companion_complement)
 
 
-def check_j_orthonormal(vectors, gram: GramOperator, tol: float = 1e-9) -> bool:
+def check_j_orthonormal(vectors, gram: GramOperator) -> bool:
     """Whether vectors pairwise satisfy ``[e_i, e_j] = +-delta_ij``.
 
-    Off-diagonal products must vanish to ``tol`` and self-products must
-    have magnitude within ``tol`` of one.
+    Off-diagonal products must vanish to ``J_ORTHONORMALITY_TOL`` and
+    self-products must have magnitude within it of one.
     """
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     for i, vi in enumerate(vecs):
         for j, vj in enumerate(vecs):
             value = w_inner(gram, vi, vj)
             if i == j:
-                if abs(abs(value) - 1.0) > tol:
+                if abs(abs(value) - 1.0) > J_ORTHONORMALITY_TOL:
                     return False
-            elif abs(value) > tol:
+            elif abs(value) > J_ORTHONORMALITY_TOL:
                 return False
     return True
 
 
-def j_orthonormal_basis(
-    subspace: Subspace, gram: GramOperator, tol: float = DEGENERACY_TOL
-) -> np.ndarray:
+def j_orthonormal_basis(subspace: Subspace, gram: GramOperator) -> np.ndarray:
     """Basis of the subspace with ``[b_i, b_j] = +-delta_ij``.
 
     Diagonalizes the compressed form and rescales by inverse square roots
     of the eigenvalue magnitudes; exists exactly for projectively complete
     subspaces.
     """
-    check = is_projectively_complete(subspace, gram, tol=tol)
+    check = is_projectively_complete(subspace, gram)
     if subspace.dim == 0:
         return np.zeros((gram.dim, 0))
     _require_complete(check)

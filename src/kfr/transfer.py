@@ -37,7 +37,7 @@ from .fusion import (
     transport_by_invertible,
     whitened_bounds,
 )
-from .krein import GramOperator, build_gram
+from .krein import EPSILON_THRESHOLD, GramOperator, build_gram
 from .subspaces import DegenerateSubspaceError, J_ORTHOGONAL, ORTHOGONAL, spans_equal
 
 __all__ = [
@@ -58,6 +58,15 @@ MACHINE_FLOOR = 1e-12
 
 #: Additive slack for the certified-interval membership test.
 SANDWICH_SLACK = 1e-9
+
+#: Span residual under which the round trip through both transfer maps
+#: returns each subspace; the maps need a regular ``|W|``, which keeps the
+#: round trip's rounding far below it.
+ROUND_TRIP_SPAN_TOL = 1e-9
+
+#: Additive slack on the sweep's envelope inequalities, whose two sides
+#: meet at rounding level when the lower bound collapses to zero.
+ENVELOPE_SLACK = 1e-12
 
 
 class RegularityError(Exception):
@@ -84,9 +93,7 @@ class TransferReport:
 
 
 def transfer_regular(
-    geometry: FrameGeometry,
-    slack: float = SANDWICH_SLACK,
-    frame_tol: float = FRAME_TOL,
+    geometry: FrameGeometry, frame_tol: float = FRAME_TOL
 ) -> TransferReport:
     """Bounds of one family in both geometries with a certified interval.
 
@@ -111,7 +118,8 @@ def transfer_regular(
     )
     stated = (hilbert.lower * smallest, hilbert.upper * largest)
     sandwich = (
-        certified[0] - slack <= krein.lower and krein.upper <= certified[1] + slack
+        certified[0] - SANDWICH_SLACK <= krein.lower
+        and krein.upper <= certified[1] + SANDWICH_SLACK
     )
     return TransferReport(
         hilbert_bounds=hilbert,
@@ -187,7 +195,7 @@ def verify_transfer_maps(
         forward_preserves_bounds=forward_bounds.matches(hilbert.lower, hilbert.upper),
         backward_preserves_bounds=backward_bounds.matches(krein.lower, krein.upper),
         maps_invert_on_spans=all(
-            spans_equal(before, after, tol=1e-9)
+            spans_equal(before, after, tol=ROUND_TRIP_SPAN_TOL)
             for before, after in zip(family.subspaces, round_trip.subspaces)
         ),
     )
@@ -222,7 +230,6 @@ def singular_sweep(
     family: WeightedSubspaceFamily,
     gram_family: Callable[[float], GramOperator],
     epsilons: Sequence[float],
-    envelope_slack: float = 1e-12,
     frame_tol: float = FRAME_TOL,
 ) -> SweepResult:
     """Measure the lower-bound collapse of a family as epsilon decreases.
@@ -284,10 +291,10 @@ def singular_sweep(
         slope = float(np.polyfit(logs, values, 1)[0])
 
     witness_ok = all(
-        w <= constant * e + envelope_slack for e, w in zip(kept, witness_values)
+        w <= constant * e + ENVELOPE_SLACK for e, w in zip(kept, witness_values)
     )
     literal_ok = all(
-        lb <= constant * e + envelope_slack for e, lb in zip(kept, lower_bounds)
+        lb <= constant * e + ENVELOPE_SLACK for e, lb in zip(kept, lower_bounds)
     )
     return SweepResult(
         epsilons=tuple(kept),
@@ -305,7 +312,7 @@ def singular_sweep(
 
 
 def diagonal_gram_family(
-    dim: int, epsilon_threshold: float = 1e-6
+    dim: int, epsilon_threshold: float = EPSILON_THRESHOLD
 ) -> Callable[[float], GramOperator]:
     """Family ``W(eps) = diag(1, ..., 1, eps)`` used by the default sweep."""
     if dim < 2:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from kfr.linalg import frobenius
 from kfr.subspaces import (
     J_ORTHOGONAL,
     ORTHOGONAL,
+    DegenerateSubspaceError,
     Subspace,
     j_orthogonal_projection_gram,
     orthogonal_projection,
@@ -282,6 +284,60 @@ class TestFrameGeometry:
         geometry = FrameGeometry(coordinate_family(3), g)
         with pytest.raises(ValueError, match="unknown projection kind"):
             geometry.bounds("oblique")
+
+
+class TestFrameGeometryVerdicts:
+    def invariant_geometry(self, seed=5):
+        rng = np.random.default_rng(seed)
+        g = random_gram(rng, 6)
+        return FrameGeometry(random_invariant_family(g, rng, 3, 2), g)
+
+    def test_invariant_family_passes_every_check(self):
+        geometry = self.invariant_geometry()
+        report = geometry.verify_j_projections()
+        assert report.identities_hold and report.cross_check_holds
+        assert report.notes == ()
+        samples = np.random.default_rng(0).standard_normal((100, 6))
+        assert geometry.definition_holds(samples)
+
+    def test_non_invariant_member_gets_the_composed_note(self):
+        g = build_gram(np.diag([2.0, -1.0, 3.0]))
+        family = WeightedSubspaceFamily(
+            (1.0, 1.0), (line(1.0, 0.0, 0.0), line(1.0, 0.5, 0.0))
+        )
+        report = FrameGeometry(family, g).verify_j_projections()
+        assert report.identities_hold and report.cross_check_holds
+        assert report.notes == (
+            "subspace 1: composed construction not applicable "
+            "(not invariant under the fundamental symmetry)",
+        )
+
+    def test_wrong_compressed_form_fails_identities_and_cross_check(self):
+        geometry = self.invariant_geometry()
+        first, *rest = geometry.checks
+        # halves every Q built from it: Q/2 is neither idempotent nor the
+        # composed projection
+        planted = dataclasses.replace(first, compressed=2.0 * first.compressed)
+        geometry.__dict__["checks"] = (planted, *rest)
+        report = geometry.verify_j_projections()
+        assert not report.identities_hold
+        assert not report.cross_check_holds
+
+    def test_degenerate_member_is_named(self):
+        # the second member spans a neutral line: [v, v] = 2 - 2 = 0
+        g = build_gram(np.diag([2.0, -1.0, -3.0]))
+        family = WeightedSubspaceFamily(
+            (1.0, 1.0), (line(1.0, 0.0, 0.0), line(1.0, math.sqrt(2.0), 0.0))
+        )
+        with pytest.raises(DegenerateSubspaceError, match="^subspace 1 is degenerate"):
+            FrameGeometry(family, g).verify_j_projections()
+
+    def test_bounds_that_are_too_tight_break_the_definition(self):
+        geometry = self.invariant_geometry()
+        samples = np.random.default_rng(0).standard_normal((100, 6))
+        lower, upper = geometry.extremes(J_ORTHOGONAL)
+        geometry._extremes[J_ORTHOGONAL] = (lower, (lower + upper) / 2.0)
+        assert not geometry.definition_holds(samples)
 
 
 class TestLocalFrames:

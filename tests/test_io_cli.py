@@ -25,6 +25,7 @@ from kfr.io import (
     parse_instance_text,
     serialize_instance,
 )
+from kfr.spectral import SpectralReport
 
 
 def minimal_payload():
@@ -329,6 +330,10 @@ class TestCli:
             ("gram", [[1.0, 0.0]], 1, "gram must have 2 rows, found 1"),
             ("weights", [1.0, -1.0], 1, "weights must be positive"),
             ("gram", [[1.0, 0.0], [0.0, 0.0]], 2, "nontrivial kernel"),
+            ("weights", ["x", 1], 1, "weight 0 must be a number"),
+            ("subspaces", [5], 1, "subspace 0 must be an object"),
+            ("options", 3, 1, "options must be an object"),
+            ("gram", [[1, "a"], [0, 1]], 1, "gram row 0 must contain only numbers"),
         ],
     )
     def test_sweep_family_file_names_an_invalid_member(
@@ -347,6 +352,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"kfr: {family_path}[1]: ")
+        assert captured.err.count(f"{family_path}[1]") == 1
         assert message in captured.err
 
     def test_spectral_command(self, tmp_path, capsys):
@@ -565,6 +571,18 @@ class TestCli:
         assert main([*command, "--input", instance,
                      "--output", str(tmp_path / "report.json")]) == 0
         assert len(sizes) == count
+
+    def test_check_reads_only_the_spectral_pieces_it_uses(self, tmp_path, monkeypatch):
+        def unread(report):
+            raise AssertionError("a spectral piece check does not report was read")
+
+        for name in ("plain_bounds", "multiplication_form_residual"):
+            monkeypatch.setattr(SpectralReport, name, property(unread))
+        path = write_instance(tmp_path, make_instance_payload(2, 6, 3))
+        output = str(tmp_path / "report.json")
+        assert main(["check", "--input", path, "--output", output]) == 0
+        with pytest.raises(AssertionError):
+            main(["spectral", "--input", path, "--output", output])
 
     def test_degenerate_member_text_is_pinned(self, tmp_path, capsys):
         # the second member spans a neutral line of W; texts from the parent
@@ -936,3 +954,52 @@ class TestHostileNumbers:
         assert captured.out == ""
         assert captured.err.startswith("kfr: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("check", "sections.polarResiduals.polarProduct"),
+            ("spectral", "sections.multiplicationFormResidual"),
+        ],
+    )
+    def test_non_finite_report_value_names_its_field(
+        self, tmp_path, capsys, command, field
+    ):
+        payload = make_instance_payload(1, 6, 3)
+        payload["gram"] = (np.array(payload["gram"]) * 1e300).tolist()
+        instance = write_instance(tmp_path, payload, name="extreme.json")
+        with np.errstate(all="ignore"):
+            assert main([command, "--input", instance]) == 1
+        assert capsys.readouterr().err == (
+            f"kfr: {field}: cannot serialize non-finite number inf\n"
+        )
+
+    @pytest.mark.parametrize(
+        "where, scale",
+        [
+            ("weights", 1e-7),
+            ("weights", 1e-8),
+            ("gram", 1e-300),
+            ("gram", 1e-20),
+            ("gram", 1e160),
+            ("gram", 1e300),
+        ],
+    )
+    @pytest.mark.parametrize("metric", ["hilbert", "krein"])
+    def test_bounds_do_not_depend_on_scale(
+        self, tmp_path, capsys, metric, where, scale
+    ):
+        # the bounds scale with the squared weights and not with W; an
+        # eigensolver decision that read the absolute scale got both wrong
+        def bounds(payload):
+            instance = write_instance(tmp_path, payload)
+            assert main(["analyze", "--metric", metric, "--input", instance]) == 0
+            return json.loads(capsys.readouterr().out)["sections"]["bounds"]
+
+        payload = make_instance_payload(1, 6, 3)
+        expected = bounds(payload)
+        payload[where] = (np.array(payload[where]) * scale).tolist()
+        scaled = bounds(payload)
+        factor = scale**2 if where == "weights" else 1.0
+        for key in ("lower", "upper"):
+            assert scaled[key] / factor == pytest.approx(expected[key], rel=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from kfr.krein import (
     j_inner,
     j_norm,
     norm_equivalence_constants,
+    norm_equivalence_holds,
+    verify_polar_identities,
     w_inner,
 )
 from kfr.linalg import frobenius, symmetrize
@@ -192,3 +195,31 @@ def test_polar_factors_match_the_per_eigenvalue_loop_bit_for_bit(case):
         g = diagonal_gram_family(6)(1e-6)
     for name, reference in loop_polar_factors(g.eig).items():
         assert np.array_equal(getattr(g, name), reference), name
+
+
+class TestVerdicts:
+    def test_polar_identities_hold_on_built_factors(self):
+        report = verify_polar_identities(build_gram(random_invertible_symmetric(4, 6)))
+        assert report.holds
+        assert max(vars(report).values()) <= 1e-12
+
+    def test_a_wrong_symmetry_breaks_the_polar_product(self):
+        g = build_gram(np.diag([2.0, -3.0]))
+        planted = dataclasses.replace(g, symmetry=np.eye(2))
+        report = verify_polar_identities(planted)
+        assert not report.holds
+        assert report.polar_product == pytest.approx(6.0)
+        assert report.symmetry_squared == report.commutation == 0.0
+
+    def test_norm_equivalence_on_eigenvectors_and_random_vectors(self):
+        g = build_gram(random_invertible_symmetric(5, 6))
+        samples = np.random.default_rng(0).standard_normal((50, 6))
+        # unnormalized rows are scaled to unit length first
+        assert norm_equivalence_holds(g, 3.0 * samples)
+        assert norm_equivalence_holds(g, g.eig.eigenvectors.T)
+
+    def test_a_wrong_companion_form_breaks_norm_equivalence(self):
+        g = build_gram(np.diag([2.0, -3.0]))
+        planted = dataclasses.replace(g, abs_matrix=np.diag([2.0, 4.0]))
+        assert not norm_equivalence_holds(planted, np.eye(2))
+        assert norm_equivalence_holds(g, np.eye(2))

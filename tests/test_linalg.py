@@ -61,6 +61,20 @@ class TestSymmetricEig:
         assert len(calls) == 1
         assert reconstruction_residual(M, eig) <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e160, 1e300])
+    def test_diagonal_decision_does_not_depend_on_scale(self, scale, monkeypatch):
+        # off-diagonal mass 2e-4 of the whole is not diagonal at any scale,
+        # and an exactly diagonal matrix stays off LAPACK at every scale
+        M = np.array([[2.0, 3e-4], [3e-4, -1.0]])
+        expected = symmetric_eig(M).eigenvalues
+        eig = symmetric_eig(M * scale)
+        assert np.allclose(eig.eigenvalues / scale, expected, rtol=1e-13, atol=0.0)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert np.array_equal(
+            symmetric_eig(np.diag([2.0, -3.0]) * scale).eigenvalues,
+            np.array([-3.0, 2.0]) * scale,
+        )
+
     def test_tiny_planted_eigenvalue(self):
         # A backward-stable solver on the rounded product Q diag(lam) Q^T
         # perturbs each eigenvalue by at most about d * eps * ||M||_2 (Weyl),
@@ -179,10 +193,6 @@ class TestOrthonormalize:
         B = orthonormalize(np.array([3.0, 4.0]))
         assert B.shape == (2, 1)
         assert abs(np.linalg.norm(B[:, 0]) - 1.0) <= 1e-14
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            orthonormalize(np.eye(2), tol=0.0)
 
     def test_column_signs_are_fixed(self):
         # the largest-magnitude entry of every column is positive, so inputs

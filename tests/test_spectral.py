@@ -7,6 +7,7 @@ from kfr.krein import build_gram, j_inner
 from kfr.linalg import frobenius
 from kfr.spectral import (
     AtomicMeasure,
+    SpectralReport,
     krein_decomposition,
     ortho_basis_of_subspaces,
     spectral_representation,
@@ -231,3 +232,29 @@ class TestKreinDecomposition:
             bounds = frame_bounds(deco.family(), g.abs_matrix, J_ORTHOGONAL, g)
             assert bounds.lower == pytest.approx(1.0, abs=1e-8)
             assert bounds.upper == pytest.approx(1.0, abs=1e-8)
+
+
+class TestSpectralReport:
+    def test_every_check_holds_on_exact_clusters(self):
+        report = SpectralReport(planted_gram(3, [2.0, 2.0, -1.0, 3.0, 3.0, 3.0]))
+        assert report.projections_sum_to_identity
+        assert report.multiplication_form_holds
+        assert report.krein_parseval
+        assert report.plain_bounds.is_parseval
+
+    def test_a_merged_cluster_breaks_only_the_multiplication_form(self):
+        # a gap below clusterTol * diameter joins 1 and 1.5 into one cluster
+        # at 1.25, which W does not act on as a multiple of the identity
+        report = SpectralReport(build_gram(np.diag([1.0, 1.5, -1.0])), cluster_tol=0.5)
+        assert report.multiplication_form_residual == pytest.approx(0.25)
+        assert not report.multiplication_form_holds
+        assert report.projections_sum_to_identity
+        assert report.krein_parseval
+
+    def test_pieces_are_computed_on_first_read(self):
+        report = SpectralReport(planted_gram(4, [2.0, -1.0, 0.5]))
+        assert report.projections_sum_to_identity
+        assert set(vars(report)) == {
+            "gram", "cluster_tol", "representation", "family",
+            "projection_sum_residual",
+        }
