@@ -11,7 +11,7 @@ companion-geometry counterpart. A deterministic CLI (``kfr``) exposes
 the analyses over JSON instance files.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from types import ModuleType as _ModuleType
 

@@ -154,15 +154,20 @@ def classify_bounds(
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
 
 
+def _block(weight: float, subspace: Subspace, G: np.ndarray, P) -> np.ndarray:
+    """One member's rows ``x L^T B^T P`` of the analysis operator."""
+    B = subspace.basis
+    root = np.linalg.cholesky(symmetrize(B.T @ G @ B))
+    return weight * (root.T @ (B.T @ P))
+
+
 def _stack(family: WeightedSubspaceFamily, G: np.ndarray, projections) -> np.ndarray:
     # a generator of projections keeps each P_i before its own factorization,
     # so the first member that fails is the one reported
-    blocks = []
-    for weight, subspace, P in zip(family.weights, family.subspaces, projections):
-        B = subspace.basis
-        root = np.linalg.cholesky(symmetrize(B.T @ G @ B))
-        blocks.append(weight * (root.T @ (B.T @ P)))
-    return np.vstack(blocks)
+    return np.vstack([
+        _block(weight, subspace, G, P)
+        for weight, subspace, P in zip(family.weights, family.subspaces, projections)
+    ])
 
 
 def analysis_operator(
@@ -204,7 +209,7 @@ def frame_operator(
 
 
 def _extreme_eigenvalues(whitened) -> tuple[float, float]:
-    values = symmetric_eig(whitened.T @ whitened).eigenvalues
+    values = symmetric_eig(whitened.T @ whitened, vectors=False).eigenvalues
     return float(values[0]), float(values[-1])
 
 
@@ -280,12 +285,14 @@ class FrameGeometry:
         """Check each member's J-orthogonal projection ``Q``: ``Q^2 = Q`` and
         ``W Q = Q^T W`` to ``PROJECTION_IDENTITY_TOL``, and the composed
         construction to ``CROSS_CHECK_TOL``. Each ``Q`` is dropped after its
-        checks, so none is kept. A degenerate member raises."""
+        checks and its analysis block, so none is kept; the blocks become the
+        J-orthogonal analysis operator. A degenerate member raises."""
         gram = self.gram
         identities_hold = cross_check_holds = True
         notes = []
-        for index, (subspace, check) in enumerate(
-            zip(self.family.subspaces, self.checks)
+        blocks = []
+        for index, (weight, subspace, check) in enumerate(
+            zip(self.family.weights, self.family.subspaces, self.checks)
         ):
             if not check:
                 raise DegenerateSubspaceError(
@@ -293,6 +300,7 @@ class FrameGeometry:
                     witness=check.witness,
                 )
             Q = j_projection_from_check(subspace, gram, check)
+            blocks.append(_block(weight, subspace, gram.abs_matrix, Q))
             scale = max(1.0, frobenius(Q))
             if (
                 frobenius(Q @ Q - Q) > PROJECTION_IDENTITY_TOL * scale
@@ -310,6 +318,7 @@ class FrameGeometry:
                 continue
             if frobenius(composed - Q) > CROSS_CHECK_TOL * scale:
                 cross_check_holds = False
+        self._operators.setdefault(J_ORTHOGONAL, np.vstack(blocks))
         return JProjectionReport(identities_hold, cross_check_holds, tuple(notes))
 
     def definition_holds(self, samples) -> bool:

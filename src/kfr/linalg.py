@@ -1,13 +1,13 @@
 """Dense real symmetric linear algebra kernel.
 
 Everything downstream needs lives here: one symmetric eigensolver entry
-point (LAPACK through ``np.linalg.eigh``), rank-revealing
-orthonormalization, the inverse square root of a metric and extremal
-generalized Rayleigh quotients for symmetric-definite pencils. A map on
-the spectrum is one vectorized call, :meth:`EigenDecomposition.assemble`.
-All inputs and outputs are plain ``numpy.float64`` arrays; results are
-returned with ``writeable=False`` so shared values cannot be mutated
-behind a caller's back.
+point (LAPACK through ``np.linalg.eigh``, or ``np.linalg.eigvalsh`` when
+only values are asked for), rank-revealing orthonormalization, the inverse
+square root of a metric and extremal generalized Rayleigh quotients for
+symmetric-definite pencils. A map on the spectrum is one vectorized call,
+:meth:`EigenDecomposition.assemble`. All inputs and outputs are plain
+``numpy.float64`` arrays; results are returned with ``writeable=False`` so
+shared values cannot be mutated behind a caller's back.
 """
 
 from __future__ import annotations
@@ -102,15 +102,16 @@ class EigenDecomposition:
     """Eigenvalues in non-decreasing order with matching eigenvector columns.
 
     ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; the eigenvector
-    matrix is orthogonal.
+    matrix is orthogonal. It is ``None`` when only values were asked for.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
     def __post_init__(self):
         _freeze(self.eigenvalues)
-        _freeze(self.eigenvectors)
+        if self.eigenvectors is not None:
+            _freeze(self.eigenvectors)
 
     @property
     def dim(self) -> int:
@@ -121,18 +122,22 @@ class EigenDecomposition:
         is the matrix function ``f`` on the spectrum, and with ``values =
         lambda`` it rebuilds the decomposed matrix."""
         V = self.eigenvectors
+        if V is None:
+            raise ValueError("a values-only decomposition cannot assemble a matrix")
         return symmetrize((V * values) @ V.T)
 
 
-def symmetric_eig(matrix) -> EigenDecomposition:
+def symmetric_eig(matrix, *, vectors: bool = True) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix.
 
     Eigenvalues come in ascending order. A matrix that is already diagonal
     (off-diagonal Frobenius norm at most ``ALREADY_DIAGONAL_TOL * ||M||_F``)
     returns its exact diagonal, stably sorted, with permuted unit vectors,
     so diagonal metrics keep coordinate order inside repeated eigenvalues.
-    Any other matrix goes to LAPACK through ``np.linalg.eigh``. The result
-    is deterministic for identical input and BLAS thread count.
+    Any other matrix goes to LAPACK through ``np.linalg.eigh``, or through
+    ``np.linalg.eigvalsh`` when ``vectors`` is false; the result then has
+    no eigenvectors. The result is deterministic for identical input and
+    BLAS thread count.
 
     Raises :class:`ConvergenceError` if LAPACK reports non-convergence.
     """
@@ -144,12 +149,16 @@ def symmetric_eig(matrix) -> EigenDecomposition:
     if offdiag_frobenius(scaled) <= ALREADY_DIAGONAL_TOL * frobenius(scaled):
         values = np.diag(M).copy()
         order = np.argsort(values, kind="stable")
-        return EigenDecomposition(values[order], np.eye(M.shape[0])[:, order])
+        basis = np.eye(M.shape[0])[:, order] if vectors else None
+        return EigenDecomposition(values[order], basis)
     try:
-        values, vectors = np.linalg.eigh(M)
+        if vectors:
+            values, basis = np.linalg.eigh(M)
+        else:
+            values, basis = np.linalg.eigvalsh(M), None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    return EigenDecomposition(values, vectors)
+    return EigenDecomposition(values, basis)
 
 
 def orthonormalize(columns) -> np.ndarray:

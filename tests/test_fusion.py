@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import kfr.fusion
 from kfr.fusion import (
     FrameGeometry,
     LocalFrameSystem,
@@ -331,6 +332,26 @@ class TestFrameGeometryVerdicts:
         )
         with pytest.raises(DegenerateSubspaceError, match="^subspace 1 is degenerate"):
             FrameGeometry(family, g).verify_j_projections()
+
+    def test_verify_builds_each_j_projection_once(self, monkeypatch):
+        # the checks' projections give the analysis operator's blocks, bit
+        # for bit as a geometry that builds them afresh
+        geometry = self.invariant_geometry()
+        fresh = FrameGeometry(geometry.family, geometry.gram)
+        reference = fresh.analysis_operator(J_ORTHOGONAL)
+        calls = []
+        original = kfr.fusion.j_projection_from_check
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(kfr.fusion, "j_projection_from_check", counting)
+        geometry.verify_j_projections()
+        operator = geometry.analysis_operator(J_ORTHOGONAL)
+        assert calls == list(geometry.family.subspaces)
+        assert np.array_equal(operator, reference)
+        assert list(geometry._operators) == [J_ORTHOGONAL]
 
     def test_bounds_that_are_too_tight_break_the_definition(self):
         geometry = self.invariant_geometry()

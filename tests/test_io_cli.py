@@ -548,6 +548,18 @@ class TestCli:
             assert str(cap) in capsys.readouterr().err
             assert not output.exists()
 
+    #: Eigensolves per command that read eigenvalues only: every bound, so
+    #: check's six are the four-way, plain and spectral bounds.
+    VALUES_ONLY = {
+        ("analyze", "--metric", "hilbert"): 1,
+        ("analyze", "--metric", "krein"): 1,
+        ("equivalence",): 4,
+        ("transfer",): 4,
+        ("sweep",): 13,
+        ("spectral",): 2,
+        ("check",): 6,
+    }
+
     @pytest.mark.parametrize(
         "command, count",
         [
@@ -571,6 +583,7 @@ class TestCli:
         assert main([*command, "--input", instance,
                      "--output", str(tmp_path / "report.json")]) == 0
         assert len(sizes) == count
+        assert sizes.values_only == self.VALUES_ONLY[command]
 
     def test_check_reads_only_the_spectral_pieces_it_uses(self, tmp_path, monkeypatch):
         def unread(report):

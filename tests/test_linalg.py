@@ -152,6 +152,54 @@ class TestSymmetricEig:
             eig.eigenvalues[0] = 7.0
 
 
+class TestValuesOnly:
+    def test_diagonal_is_the_exact_stably_sorted_diagonal(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        diagonal = np.array([2.0, -3.0, 0.5, 2.0, -0.0, 0.0, 1e-300])
+        eig = symmetric_eig(np.diag(diagonal), vectors=False)
+        assert eig.eigenvectors is None
+        # bit for bit, so -0.0 stays ahead of 0.0
+        expected = np.sort(diagonal, kind="stable").tobytes()
+        assert eig.eigenvalues.tobytes() == expected
+        assert symmetric_eig(np.diag(diagonal)).eigenvalues.tobytes() == expected
+
+    @pytest.mark.parametrize("n", [6, 24, 96])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_extremes_match_eigh(self, n, seed):
+        M = random_symmetric(seed, n, scale=3.0)
+        eig = symmetric_eig(M, vectors=False)
+        reference = np.linalg.eigh(M)[0]
+        assert eig.eigenvectors is None
+        assert np.all(np.diff(eig.eigenvalues) >= 0)
+        for k in (0, -1):
+            assert abs(eig.eigenvalues[k] - reference[k]) <= 1e-13 * frobenius(M)
+
+    def test_cannot_assemble(self):
+        eig = symmetric_eig(random_symmetric(2, 5), vectors=False)
+        with pytest.raises(ValueError, match="values-only"):
+            eig.assemble(eig.eigenvalues)
+        with pytest.raises(ValueError):
+            eig.eigenvalues[0] = 7.0
+
+    def test_lapack_failure_is_convergence_error_and_exit_2(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        path = tmp_path / "instance.json"
+        path.write_text(dumps_canonical(make_instance_payload(1, 6, 3)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            symmetric_eig(random_symmetric(1, 6), vectors=False)
+        assert main(["analyze", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "did not converge" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestOrthonormalize:
     def test_two_step(self):
         cols = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -1,5 +1,6 @@
 """Large-dimension smoke: the full pipeline at d = 64 stays fast and sane."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +106,38 @@ def test_bench_span_targets_resolve():
         owner = importlib.import_module(f"kfr.{module}")
         for name in names:
             assert callable(getattr(owner, name, None)), f"kfr.{module}.{name}"
+
+
+#: numpy's eigensolvers; only ``kfr.linalg`` may call them, so that every
+#: eigensolve goes through ``symmetric_eig`` and is seen by its counters.
+EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def test_only_linalg_calls_an_eigensolver():
+    import kfr
+
+    package = Path(kfr.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "linalg.py" and path.parent == package:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = _dotted(node.func)
+                if "linalg." in name and name.rsplit(".", 1)[-1] in EIGENSOLVERS:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                for alias in node.names:
+                    if alias.name in EIGENSOLVERS:
+                        offenders.append(f"{path.name}:{node.lineno} import {alias.name}")
+    assert offenders == []
