@@ -2,9 +2,10 @@
 
 Every bound comes from one analysis operator ``A`` (Casazza and Kutyniok,
 "Frames of subspaces", 2004) with ``A^T A = sum_i x_i^2 P_i^T G P_i``, the
-frame operator under a metric ``G``. Optimal bounds are the extreme
-eigenvalues of ``F^T F`` for ``F = A G^{-1/2}``; they are exact, not
-certified, so every theorem check is as tight as the arithmetic allows.
+frame operator under a metric ``G``, built from r x r factors per member
+with no ``(d, d)`` projection. Optimal bounds are the extreme eigenvalues
+of ``F^T F`` for ``F = A G^{-1/2}``; they are exact, not certified, so
+every theorem check is as tight as the arithmetic allows.
 
 Companion-metric bounds (``G = |W|``) come from one :class:`FrameGeometry`
 per (family, Gram operator), which keeps the factors more than one bound
@@ -40,11 +41,10 @@ from .subspaces import (
     J_ORTHOGONAL,
     ORTHOGONAL,
     Subspace,
+    _require_complete,
     composed_projection_from_check,
     is_projectively_complete,
-    j_orthogonal_projection_gram,
     j_projection_from_check,
-    orthogonal_projection,
     subspace_from_columns,
 )
 
@@ -154,19 +154,32 @@ def classify_bounds(
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
 
 
-def _block(weight: float, subspace: Subspace, G: np.ndarray, P) -> np.ndarray:
-    """One member's rows ``x L^T B^T P`` of the analysis operator."""
+def _block(weight: float, subspace: Subspace, G: np.ndarray, W=None, check=None):
+    """Rows ``x L^T B^T P`` with ``L L^T = B^T G B``, from r x r factors only:
+    ``x L^{-1} (G B)^T`` for the metric-orthogonal ``P``; given ``check``,
+    ``x L^T K^{-1} (W B)^T`` with its ``K = B^T W B`` for the J-orthogonal
+    one, raising first if the member is degenerate."""
     B = subspace.basis
-    root = np.linalg.cholesky(symmetrize(B.T @ G @ B))
-    return weight * (root.T @ (B.T @ P))
+    if check is not None:
+        _require_complete(check)
+    GB = G @ B
+    root = np.linalg.cholesky(symmetrize(B.T @ GB))
+    if check is None:
+        return weight * np.linalg.solve(root, GB.T)
+    return weight * (root.T @ np.linalg.solve(check.compressed, (W @ B).T))
 
 
-def _stack(family: WeightedSubspaceFamily, G: np.ndarray, projections) -> np.ndarray:
-    # a generator of projections keeps each P_i before its own factorization,
-    # so the first member that fails is the one reported
+def _operator(family, G: np.ndarray, kind: str, geometry) -> np.ndarray:
+    """Blocks in family order; J-orthogonal ones read ``geometry``'s checks."""
+    if kind == ORTHOGONAL:
+        W, checks = None, (None,) * len(family)
+    elif kind == J_ORTHOGONAL:
+        W, checks = geometry.gram.matrix, geometry.checks
+    else:
+        raise ValueError(f"unknown projection kind {kind!r}")
     return np.vstack([
-        _block(weight, subspace, G, P)
-        for weight, subspace, P in zip(family.weights, family.subspaces, projections)
+        _block(weight, subspace, G, W, check)
+        for weight, subspace, check in zip(family.weights, family.subspaces, checks)
     ])
 
 
@@ -177,24 +190,18 @@ def analysis_operator(
     gram: GramOperator | None = None,
 ) -> np.ndarray:
     """Stacked ``(R, d)`` operator of blocks ``x_i L_i^T B_i^T P_i``, where
-    ``L_i L_i^T = B_i^T G B_i``; its Gram ``A^T A`` is the frame operator."""
+    ``L_i L_i^T = B_i^T G B_i``, each built from r x r factors (no ``P_i`` is
+    formed); its Gram ``A^T A`` is the frame operator."""
     G = symmetrize(metric)
     if G.shape[0] != family.ambient_dim:
         raise ValueError(
             f"metric dimension {G.shape[0]} does not match family "
             f"dimension {family.ambient_dim}"
         )
-    if kind not in (ORTHOGONAL, J_ORTHOGONAL):
-        raise ValueError(f"unknown projection kind {kind!r}")
     if kind == J_ORTHOGONAL and gram is None:
         raise ValueError("J-orthogonal projections need a Gram operator")
-    if kind == ORTHOGONAL:
-        projections = (orthogonal_projection(s, G) for s in family.subspaces)
-    else:
-        projections = (
-            j_orthogonal_projection_gram(s, gram) for s in family.subspaces
-        )
-    return _stack(family, G, projections)
+    geometry = FrameGeometry(family, gram) if kind == J_ORTHOGONAL else None
+    return _operator(family, G, kind, geometry)
 
 
 def frame_operator(
@@ -244,11 +251,11 @@ class FrameGeometry:
         )
 
     def mapped(self) -> FrameGeometry:
-        """A new geometry of the J-image family ``{J V_i}``, same weights. It is
-        not kept: its factors would outlive the one check that reads them."""
+        """A new geometry of the J-image family ``{J V_i}`` (``J`` is orthogonal,
+        so each ``J B_i`` is orthonormal), same weights. It is not kept: its
+        factors would outlive the one check that reads them."""
         images = tuple(
-            subspace_from_columns(self.gram.symmetry @ s.basis)
-            for s in self.family.subspaces
+            Subspace(self.gram.symmetry @ s.basis) for s in self.family.subspaces
         )
         return FrameGeometry(
             WeightedSubspaceFamily(self.family.weights, images), self.gram
@@ -257,17 +264,8 @@ class FrameGeometry:
     def analysis_operator(self, kind: str) -> np.ndarray:
         """Companion-metric analysis operator for one projection kind."""
         if kind not in self._operators:
-            G, subspaces = self.gram.abs_matrix, self.family.subspaces
-            if kind == ORTHOGONAL:
-                projections = (orthogonal_projection(s, G) for s in subspaces)
-            elif kind == J_ORTHOGONAL:
-                projections = (
-                    j_projection_from_check(s, self.gram, check)
-                    for s, check in zip(subspaces, self.checks)
-                )
-            else:
-                raise ValueError(f"unknown projection kind {kind!r}")
-            self._operators[kind] = _stack(self.family, G, projections)
+            G = self.gram.abs_matrix
+            self._operators[kind] = _operator(self.family, G, kind, self)
         return self._operators[kind]
 
     def extremes(self, kind: str) -> tuple[float, float]:
@@ -285,14 +283,13 @@ class FrameGeometry:
         """Check each member's J-orthogonal projection ``Q``: ``Q^2 = Q`` and
         ``W Q = Q^T W`` to ``PROJECTION_IDENTITY_TOL``, and the composed
         construction to ``CROSS_CHECK_TOL``. Each ``Q`` is dropped after its
-        checks and its analysis block, so none is kept; the blocks become the
-        J-orthogonal analysis operator. A degenerate member raises."""
+        checks, so none is kept, and none feeds the analysis operator, which
+        is built from r x r factors. A degenerate member raises."""
         gram = self.gram
         identities_hold = cross_check_holds = True
         notes = []
-        blocks = []
-        for index, (weight, subspace, check) in enumerate(
-            zip(self.family.weights, self.family.subspaces, self.checks)
+        for index, (subspace, check) in enumerate(
+            zip(self.family.subspaces, self.checks)
         ):
             if not check:
                 raise DegenerateSubspaceError(
@@ -300,7 +297,6 @@ class FrameGeometry:
                     witness=check.witness,
                 )
             Q = j_projection_from_check(subspace, gram, check)
-            blocks.append(_block(weight, subspace, gram.abs_matrix, Q))
             scale = max(1.0, frobenius(Q))
             if (
                 frobenius(Q @ Q - Q) > PROJECTION_IDENTITY_TOL * scale
@@ -318,7 +314,6 @@ class FrameGeometry:
                 continue
             if frobenius(composed - Q) > CROSS_CHECK_TOL * scale:
                 cross_check_holds = False
-        self._operators.setdefault(J_ORTHOGONAL, np.vstack(blocks))
         return JProjectionReport(identities_hold, cross_check_holds, tuple(notes))
 
     def definition_holds(self, samples) -> bool:

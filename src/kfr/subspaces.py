@@ -10,10 +10,11 @@ finite-dimensional reading of the projective completeness assumption;
 degenerate inputs raise :class:`DegenerateSubspaceError` with a witness
 vector of near-zero self-product.
 
-Two independent J-orthogonal constructions are provided. The direct Gram
-formula is the workhorse. The composed product of two metric projections
-is kept as a cross-check: it agrees with the Gram formula precisely on
-subspaces invariant under the fundamental symmetry, and it refuses (with
+Two independent J-orthogonal constructions are provided. Only the
+projection checks form them; frame bounds use r x r factors. The direct
+Gram formula is checked against the composed product of two metric
+projections. That product agrees with it precisely on subspaces
+invariant under the fundamental symmetry, and it refuses (with
 :class:`ComposedProjectionError`) whenever its output fails the
 projection identities instead of silently returning a non-projection.
 """

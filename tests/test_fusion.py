@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import kfr.fusion
+import kfr.subspaces
 from kfr.fusion import (
     FrameGeometry,
     LocalFrameSystem,
@@ -30,7 +32,8 @@ from kfr.subspaces import (
     orthogonal_projection,
     subspace_from_columns,
 )
-from kfr.transfer import transfer_regular
+from kfr.spectral import SpectralReport
+from kfr.transfer import diagonal_gram_family, singular_sweep, transfer_regular
 
 
 def line(*entries):
@@ -334,8 +337,9 @@ class TestFrameGeometryVerdicts:
             FrameGeometry(family, g).verify_j_projections()
 
     def test_verify_builds_each_j_projection_once(self, monkeypatch):
-        # the checks' projections give the analysis operator's blocks, bit
-        # for bit as a geometry that builds them afresh
+        # verifying forms each member's Q once and leaves the analysis
+        # operator alone: it is built from r x r factors, the same bits
+        # whether or not the projections were verified first
         geometry = self.invariant_geometry()
         fresh = FrameGeometry(geometry.family, geometry.gram)
         reference = fresh.analysis_operator(J_ORTHOGONAL)
@@ -348,6 +352,7 @@ class TestFrameGeometryVerdicts:
 
         monkeypatch.setattr(kfr.fusion, "j_projection_from_check", counting)
         geometry.verify_j_projections()
+        assert geometry._operators == {}
         operator = geometry.analysis_operator(J_ORTHOGONAL)
         assert calls == list(geometry.family.subspaces)
         assert np.array_equal(operator, reference)
@@ -359,6 +364,55 @@ class TestFrameGeometryVerdicts:
         lower, upper = geometry.extremes(J_ORTHOGONAL)
         geometry._extremes[J_ORTHOGONAL] = (lower, (lower + upper) / 2.0)
         assert not geometry.definition_holds(samples)
+
+
+class TestNoProjectionInBounds:
+    PROJECTIONS = (
+        "orthogonal_projection",
+        "j_orthogonal_projection_gram",
+        "j_projection_from_check",
+        "composed_projection_from_check",
+    )
+
+    def forbid_projections(self, monkeypatch):
+        # ``from .subspaces import ...`` copies each name into the importing
+        # module, so every ``kfr`` module binding is replaced
+        originals = [getattr(kfr.subspaces, name) for name in self.PROJECTIONS]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a frame bound formed a (d, d) projection")
+
+        for name, module in list(sys.modules.items()):
+            if name == "kfr" or name.startswith("kfr."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is original for original in originals):
+                        monkeypatch.setattr(module, attr, forbidden)
+
+    def test_no_frame_bound_builds_a_projection(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        g = random_gram(rng, 8)
+        family = random_invariant_family(g, rng, 3, 3, weight_range=(0.5, 2.0))
+        blocks = tuple(rng.standard_normal((8, 3)) for _ in range(3))
+        system = LocalFrameSystem(blocks=blocks, weights=(1.0, 0.5, 2.0))
+        self.forbid_projections(monkeypatch)
+
+        frame_bounds(family, np.eye(8))
+        frame_bounds(family, np.eye(8), J_ORTHOGONAL, g)
+        frame_bounds(family, g.abs_matrix)
+        for kind in (ORTHOGONAL, J_ORTHOGONAL):
+            frame_bounds(family, g.abs_matrix, kind, g)
+            FrameGeometry(family, g).bounds(kind)
+        geometry = FrameGeometry(family, g)
+        assert verify_four_way_equivalence(geometry).bounds_agree
+        transfer_regular(geometry)
+        misaligned = WeightedSubspaceFamily(
+            (1.0, 1.0), (line(1.0, 0.0), line(1.0, 1.0))
+        )
+        singular_sweep(misaligned, diagonal_gram_family(2), (1e-1, 1e-2, 1e-3, 1e-4))
+        spectral = SpectralReport(g)
+        spectral.plain_bounds
+        spectral.krein_bounds
+        local_frames_to_fusion(system, g)
 
 
 class TestLocalFrames:

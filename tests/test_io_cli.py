@@ -560,6 +560,19 @@ class TestCli:
         ("check",): 6,
     }
 
+    #: ``np.linalg.svd`` calls per command: one per parsed member and none
+    #: for the J-images of ``FrameGeometry.mapped()``; check's seven add the
+    #: composed cross-check's three and the companion decomposition's one.
+    SVDS = {
+        ("analyze", "--metric", "hilbert"): 3,
+        ("analyze", "--metric", "krein"): 3,
+        ("equivalence",): 3,
+        ("transfer",): 15,
+        ("sweep",): 3,
+        ("spectral",): 1,
+        ("check",): 7,
+    }
+
     @pytest.mark.parametrize(
         "command, count",
         [
@@ -584,6 +597,7 @@ class TestCli:
                      "--output", str(tmp_path / "report.json")]) == 0
         assert len(sizes) == count
         assert sizes.values_only == self.VALUES_ONLY[command]
+        assert len(sizes.svds) == self.SVDS[command]
 
     def test_check_reads_only_the_spectral_pieces_it_uses(self, tmp_path, monkeypatch):
         def unread(report):
