@@ -8,12 +8,13 @@ each block the operator acts as multiplication by the cluster values. An
 atomic measure with unit mass per participating cluster plays the role
 of the level measure, so block coordinates are plain Euclidean.
 
-The companion decomposition rescales each block into the geometry of the
-indefinite form: masses pick up a factor of the eigenvalue magnitude and
-coordinates are divided by its square root, which together leave the
-companion norm of rescaled coordinates Euclidean. The blocks form an
-orthonormal basis of subspaces in the plain metric and a Parseval family
-under the indefinite form with J-orthogonal projections.
+The companion decomposition keeps each level block and its basis, since
+``|W|^{+-1/2}`` maps an eigenvector block onto itself; the geometry of the
+indefinite form shows only in masses, which pick up a factor of the
+eigenvalue magnitude, and coordinates, divided by its square root: together
+they leave the companion norm of rescaled coordinates Euclidean. The blocks
+form an orthonormal basis of subspaces in the plain metric and a Parseval
+family under the indefinite form with J-orthogonal projections.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .fusion import FrameBounds, FrameGeometry, WeightedSubspaceFamily, frame_bounds
 from .krein import GramOperator
-from .linalg import frobenius, orthonormalize
+from .linalg import frobenius
 from .subspaces import J_ORTHOGONAL, ORTHOGONAL, Subspace, orthogonal_projection
 
 __all__ = [
@@ -206,9 +207,13 @@ def ortho_basis_of_subspaces(
     is an orthonormal basis of subspaces: its plain-metric fusion bounds
     are Parseval and the block projections sum to the identity.
     """
+    return _unit_family(representation.blocks)
+
+
+def _unit_family(blocks) -> WeightedSubspaceFamily:
+    """The column spans of the blocks' bases, each with weight one."""
     return WeightedSubspaceFamily(
-        weights=tuple(1.0 for _ in representation.blocks),
-        subspaces=tuple(Subspace(b.basis.copy()) for b in representation.blocks),
+        (1.0,) * len(blocks), tuple(Subspace(b.basis.copy()) for b in blocks)
     )
 
 
@@ -242,10 +247,7 @@ class KreinDecomposition:
     blocks: tuple[KreinBlock, ...]
 
     def family(self) -> WeightedSubspaceFamily:
-        return WeightedSubspaceFamily(
-            weights=tuple(1.0 for _ in self.blocks),
-            subspaces=tuple(Subspace(b.basis.copy()) for b in self.blocks),
-        )
+        return _unit_family(self.blocks)
 
 
 def krein_decomposition(
@@ -253,10 +255,11 @@ def krein_decomposition(
 ) -> KreinDecomposition:
     """Carry the level blocks into the geometry of the indefinite form.
 
-    Blocks are invariant under ``|W|^{+-1/2}``, so the transported spans
-    coincide with the originals; the transport shows up only in the
-    weighted measures and the coordinate scaling. Every eigenvalue must
-    be nonzero in magnitude, which the Gram construction guarantees.
+    Each level block is an eigenvector block of ``W``, so ``|W|^{+-1/2}``
+    maps it onto itself: a companion block keeps its level block's
+    subspace and basis, and the transport shows only in
+    ``weighted_measure`` and ``scaling``. Every eigenvalue must be nonzero
+    in magnitude, which the Gram construction guarantees.
     """
     if representation.dim != gram.dim:
         raise ValueError("representation does not match the Gram operator")
@@ -267,9 +270,6 @@ def krein_decomposition(
                 "zero spectral value inside a block; the multiplication map "
                 "would have a kernel"
             )
-        transported = orthonormalize(gram.inv_sqrt_abs @ block.basis)
-        if transported.shape[1] != block.dim:
-            raise ValueError("transport collapsed a spectral block")
         weighted = AtomicMeasure(
             tuple(
                 (value, abs(value) * mass)
@@ -279,7 +279,7 @@ def krein_decomposition(
         blocks.append(
             KreinBlock(
                 level=block.level,
-                basis=transported,
+                basis=block.basis,
                 weighted_measure=weighted,
                 scaling=tuple(
                     1.0 / math.sqrt(abs(value)) for value in block.eigenvalues
@@ -334,9 +334,8 @@ class SpectralReport:
 
     @functools.cached_property
     def krein_bounds(self) -> FrameBounds:
-        """J-orthogonal bounds of the companion decomposition's blocks."""
-        family = self.decomposition.family()
-        return FrameGeometry(family, self.gram).bounds(J_ORTHOGONAL)
+        """J-orthogonal bounds of the companion blocks: the level blocks."""
+        return FrameGeometry(self.family, self.gram).bounds(J_ORTHOGONAL)
 
     @property
     def projections_sum_to_identity(self) -> bool:

@@ -259,11 +259,12 @@ def j_orthogonal_projection_gram(subspace: Subspace, gram: GramOperator) -> np.n
 def composed_projection_from_check(
     subspace: Subspace, gram: GramOperator, check: CompletenessCheck
 ) -> np.ndarray:
-    """:func:`j_orthogonal_projection_composed` from the subspace's ``check``."""
+    """:func:`j_orthogonal_projection_composed` from the subspace's ``check``;
+    ``J`` is orthogonal, so ``J B`` is an orthonormal basis of the J-image."""
     _require_complete(check)
     metric = gram.abs_matrix
     p_v = orthogonal_projection(subspace, metric)
-    mapped = subspace_from_columns(gram.symmetry @ subspace.basis)
+    mapped = Subspace(gram.symmetry @ subspace.basis)
     p_jv = orthogonal_projection(mapped, metric)
     Q = p_v @ p_jv
 
@@ -318,7 +319,7 @@ def j_orthogonal_complement(subspace: Subspace, gram: GramOperator) -> Subspace:
     # companion complement = plain complement of the span of |W| B
     full, _, _ = np.linalg.svd(gram.abs_matrix @ subspace.basis, full_matrices=True)
     companion_complement = full[:, r:]
-    return subspace_from_columns(gram.symmetry @ companion_complement)
+    return Subspace(gram.symmetry @ companion_complement)
 
 
 def check_j_orthonormal(vectors, gram: GramOperator) -> bool:

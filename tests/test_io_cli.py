@@ -560,17 +560,22 @@ class TestCli:
         ("check",): 6,
     }
 
-    #: ``np.linalg.svd`` calls per command: one per parsed member and none
-    #: for the J-images of ``FrameGeometry.mapped()``; check's seven add the
-    #: composed cross-check's three and the companion decomposition's one.
-    SVDS = {
-        ("analyze", "--metric", "hilbert"): 3,
-        ("analyze", "--metric", "krein"): 3,
-        ("equivalence",): 3,
-        ("transfer",): 15,
-        ("sweep",): 3,
-        ("spectral",): 1,
-        ("check",): 7,
+    #: Dense LAPACK factorizations per command, by kind. ``svd``: one per
+    #: parsed member, and transfer's others come from
+    #: ``transport_by_invertible``; the J-images and the companion blocks keep
+    #: the bases they have. ``cholesky``: one per member and projection kind
+    #: of each bound. ``eigh`` and ``eigvalsh`` are the solves above that
+    #: reach LAPACK; the others take ``symmetric_eig``'s already-diagonal path.
+    FACTORIZATIONS = {
+        ("analyze", "--metric", "hilbert"):
+            {"eigh": 0, "eigvalsh": 1, "svd": 3, "cholesky": 3},
+        ("analyze", "--metric", "krein"):
+            {"eigh": 4, "eigvalsh": 1, "svd": 3, "cholesky": 3},
+        ("equivalence",): {"eigh": 7, "eigvalsh": 4, "svd": 3, "cholesky": 12},
+        ("transfer",): {"eigh": 5, "eigvalsh": 4, "svd": 15, "cholesky": 12},
+        ("sweep",): {"eigh": 18, "eigvalsh": 13, "svd": 3, "cholesky": 21},
+        ("spectral",): {"eigh": 1, "eigvalsh": 0, "svd": 0, "cholesky": 2},
+        ("check",): {"eigh": 7, "eigvalsh": 5, "svd": 3, "cholesky": 16},
     }
 
     @pytest.mark.parametrize(
@@ -597,7 +602,7 @@ class TestCli:
                      "--output", str(tmp_path / "report.json")]) == 0
         assert len(sizes) == count
         assert sizes.values_only == self.VALUES_ONLY[command]
-        assert len(sizes.svds) == self.SVDS[command]
+        assert sizes.tally == self.FACTORIZATIONS[command]
 
     def test_check_reads_only_the_spectral_pieces_it_uses(self, tmp_path, monkeypatch):
         def unread(report):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kfr.fusion import frame_bounds
-from kfr.generators import random_spectrum_gram
+from kfr.fusion import FrameGeometry, WeightedSubspaceFamily, frame_bounds
+from kfr.generators import make_instance_payload, random_orthogonal, random_spectrum_gram
+from kfr.io import build_instance_gram, dumps_canonical, parse_instance_text
 from kfr.krein import build_gram, j_inner
 from kfr.linalg import frobenius
 from kfr.spectral import (
@@ -12,12 +13,18 @@ from kfr.spectral import (
     ortho_basis_of_subspaces,
     spectral_representation,
 )
-from kfr.subspaces import J_ORTHOGONAL, Subspace, orthogonal_projection, spans_equal, subspace_from_columns
+from kfr.subspaces import J_ORTHOGONAL, ORTHOGONAL, Subspace, orthogonal_projection, spans_equal, subspace_from_columns
 
 
 def planted_gram(seed, values):
     rng = np.random.default_rng(seed)
     return random_spectrum_gram(rng, values)
+
+
+def gen_gram(seed, dim):
+    """The Gram operator of ``kfr gen --seed seed --dim dim --subspaces 3``."""
+    text = dumps_canonical(make_instance_payload(seed, dim, 3))
+    return build_instance_gram(parse_instance_text(text))
 
 
 class TestAtomicMeasure:
@@ -258,3 +265,51 @@ class TestSpectralReport:
             "gram", "cluster_tol", "representation", "family",
             "projection_sum_residual",
         }
+
+    @pytest.mark.parametrize("dim", [24, 48])
+    def test_resolution_and_krein_parseval_factor_nothing(self, dim, count_eigs):
+        # the level blocks are eigenvector blocks of W, so each compressed
+        # form and the whitened reduction take the already-diagonal path
+        report = SpectralReport(gen_gram(1, dim))
+        sizes = count_eigs()
+        assert report.projections_sum_to_identity
+        assert report.krein_parseval
+        assert [sizes.tally[kind] for kind in ("eigh", "eigvalsh", "svd")] == [0, 0, 0]
+        krein, levels = report.decomposition.blocks, report.representation.blocks
+        assert len(krein) == len(levels)
+        for krein_block, level_block in zip(krein, levels):
+            assert krein_block.basis is level_block.basis
+
+
+class TestLevelBasisInvariance:
+    """The level family's bounds are properties of its spans: a basis
+    rotated inside each block gives the same bounds, so the companion
+    blocks may keep the level blocks' own bases."""
+
+    @staticmethod
+    def bounds(family, gram):
+        plain = frame_bounds(family, np.eye(gram.dim), ORTHOGONAL)
+        krein = FrameGeometry(family, gram).bounds(J_ORTHOGONAL)
+        return plain, krein
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            *(planted_gram(600 + seed, [2.0, 2.0, 2.0, -1.0, -1.0, 4.0, 0.5, 0.5])
+              for seed in range(4)),
+            *(gen_gram(seed, 24) for seed in (1, 2, 3)),
+        ],
+    )
+    def test_rotating_each_level_basis_keeps_the_bounds(self, gram):
+        family = ortho_basis_of_subspaces(spectral_representation(gram))
+        rng = np.random.default_rng(7)
+        rotated = WeightedSubspaceFamily(
+            family.weights,
+            tuple(
+                Subspace(s.basis @ random_orthogonal(rng, s.dim))
+                for s in family.subspaces
+            ),
+        )
+        for before, after in zip(self.bounds(family, gram), self.bounds(rotated, gram)):
+            assert after.lower == pytest.approx(before.lower, rel=1e-12)
+            assert after.upper == pytest.approx(before.upper, rel=1e-12)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kfr.generators import random_gram, random_invariant_subspace
+from kfr.fusion import CROSS_CHECK_TOL
+from kfr.generators import random_gram, random_invariant_family, random_invariant_subspace
 from kfr.krein import build_gram, w_inner
 from kfr.linalg import frobenius, symmetric_eig, symmetrize
 from kfr.subspaces import (
@@ -144,6 +145,19 @@ class TestComposedProjection:
         composed = j_orthogonal_projection_composed(s, g)
         assert frobenius(direct - composed) <= 1e-8
 
+    def test_takes_the_j_image_without_an_svd(self, count_eigs):
+        # J is orthogonal, so J B is an orthonormal basis of the J-image
+        rng = np.random.default_rng(31)
+        g = random_gram(rng, 12)
+        s = random_invariant_family(g, rng, 3, 4).subspaces[1]
+        check = is_projectively_complete(s, g)
+        sizes = count_eigs()
+        composed = composed_projection_from_check(s, g, check)
+        assert sizes.tally["svd"] == 0
+        direct = j_projection_from_check(s, g, check)
+        scale = max(1.0, frobenius(direct))
+        assert frobenius(composed - direct) <= CROSS_CHECK_TOL * scale
+
     def test_flags_non_invariant_subspace(self):
         rng = np.random.default_rng(12)
         g = random_gram(rng, 6)
@@ -174,6 +188,15 @@ class TestComplement:
         for i in range(comp.dim):
             for j in range(s.dim):
                 assert abs(w_inner(g, comp.basis[:, i], s.basis[:, j])) <= 1e-9
+
+    def test_maps_the_companion_complement_without_a_second_svd(self, count_eigs):
+        rng = np.random.default_rng(32)
+        g = random_gram(rng, 8)
+        s = subspace_from_columns(rng.standard_normal((8, 3)))
+        sizes = count_eigs()
+        comp = j_orthogonal_complement(s, g)
+        assert sizes.tally["svd"] == 1
+        assert comp.dim == 5
 
     @pytest.mark.parametrize("seed", range(5))
     def test_complement_duality(self, seed):
