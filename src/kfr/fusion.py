@@ -36,15 +36,12 @@ from .linalg import (
 from .subspaces import (
     PROJECTION_IDENTITY_TOL,
     CompletenessCheck,
-    ComposedProjectionError,
     DegenerateSubspaceError,
     J_ORTHOGONAL,
     ORTHOGONAL,
     Subspace,
     _require_complete,
-    composed_projection_from_check,
     is_projectively_complete,
-    j_projection_from_check,
     subspace_from_columns,
 )
 
@@ -54,6 +51,7 @@ __all__ = [
     "WeightedSubspaceFamily",
     "FrameBounds",
     "FrameGeometry",
+    "JProjectionResiduals",
     "JProjectionReport",
     "FourWayReport",
     "LocalFrameSystem",
@@ -154,32 +152,32 @@ def classify_bounds(
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
 
 
-def _block(weight: float, subspace: Subspace, G: np.ndarray, W=None, check=None):
+def _block(weight: float, subspace: Subspace, G: np.ndarray, j_factor=None):
     """Rows ``x L^T B^T P`` with ``L L^T = B^T G B``, from r x r factors only:
-    ``x L^{-1} (G B)^T`` for the metric-orthogonal ``P``; given ``check``,
-    ``x L^T K^{-1} (W B)^T`` with its ``K = B^T W B`` for the J-orthogonal
-    one, raising first if the member is degenerate."""
+    ``x L^{-1} (G B)^T`` for the metric-orthogonal ``P``; given the member's
+    ``j_factor`` ``K^{-1} (W B)^T``, ``x L^T K^{-1} (W B)^T`` for the
+    J-orthogonal one."""
     B = subspace.basis
-    if check is not None:
-        _require_complete(check)
     GB = G @ B
     root = np.linalg.cholesky(symmetrize(B.T @ GB))
-    if check is None:
+    if j_factor is None:
         return weight * np.linalg.solve(root, GB.T)
-    return weight * (root.T @ np.linalg.solve(check.compressed, (W @ B).T))
+    return weight * (root.T @ j_factor)
 
 
 def _operator(family, G: np.ndarray, kind: str, geometry) -> np.ndarray:
-    """Blocks in family order; J-orthogonal ones read ``geometry``'s checks."""
+    """Blocks in family order; J-orthogonal ones read ``geometry``'s kept
+    J-factors, each made (or raised on, for a degenerate member) just
+    before its block."""
     if kind == ORTHOGONAL:
-        W, checks = None, (None,) * len(family)
+        j_factors = (None,) * len(family)
     elif kind == J_ORTHOGONAL:
-        W, checks = geometry.gram.matrix, geometry.checks
+        j_factors = map(geometry.j_factor, range(len(family)))
     else:
         raise ValueError(f"unknown projection kind {kind!r}")
+    members = zip(family.weights, family.subspaces, j_factors)
     return np.vstack([
-        _block(weight, subspace, G, W, check)
-        for weight, subspace, check in zip(family.weights, family.subspaces, checks)
+        _block(weight, subspace, G, j_factor) for weight, subspace, j_factor in members
     ])
 
 
@@ -215,6 +213,11 @@ def frame_operator(
     return symmetrize(A.T @ A)
 
 
+def _skew_norm(X: np.ndarray) -> float:
+    """``||X - X^T||_F``."""
+    return frobenius(X - X.T)
+
+
 def _extreme_eigenvalues(whitened) -> tuple[float, float]:
     values = symmetric_eig(whitened.T @ whitened, vectors=False).eigenvalues
     return float(values[0]), float(values[-1])
@@ -229,13 +232,15 @@ def whitened_bounds(whitened, frame_tol: float = FRAME_TOL) -> FrameBounds:
 @dataclass(frozen=True, eq=False)
 class FrameGeometry:
     """A family bound to a Gram operator. Each quantity of its companion-metric
-    bounds is computed on first use and kept: the members' completeness checks,
-    the analysis operator and its whitened extremes per projection kind.
-    Tolerances only classify the kept extremes. It also checks the members'
-    J-orthogonal projections and the frame definition on sample vectors."""
+    bounds is computed on first use and kept: the members' completeness checks
+    and J-factors, the analysis operator and its whitened extremes per
+    projection kind. Tolerances only classify the kept extremes. It also
+    checks the members' J-orthogonal projections and the frame definition on
+    sample vectors."""
 
     family: WeightedSubspaceFamily
     gram: GramOperator
+    _j_factors: dict = field(default_factory=dict, init=False, repr=False)
     _operators: dict = field(default_factory=dict, init=False, repr=False)
     _extremes: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -249,6 +254,20 @@ class FrameGeometry:
         return tuple(
             is_projectively_complete(s, self.gram) for s in self.family.subspaces
         )
+
+    def j_factor(self, index: int) -> np.ndarray:
+        """Member ``index``'s ``(r, d)`` factor ``N = K^{-1} (W B)^T``, with
+        ``K = B^T W B`` from its completeness check, of the J-orthogonal
+        projection ``Q = B N``; kept, so the J-orthogonal block and the
+        projection check read the same bits. A degenerate member raises."""
+        if index not in self._j_factors:
+            check = self.checks[index]
+            _require_complete(check)
+            B = self.family.subspaces[index].basis
+            self._j_factors[index] = np.linalg.solve(
+                check.compressed, (self.gram.matrix @ B).T
+            )
+        return self._j_factors[index]
 
     def mapped(self) -> FrameGeometry:
         """A new geometry of the J-image family ``{J V_i}`` (``J`` is orthogonal,
@@ -279,40 +298,75 @@ class FrameGeometry:
         """Optimal companion-metric bounds, classified by ``frame_tol``."""
         return classify_bounds(*self.extremes(kind), frame_tol)
 
-    def verify_j_projections(self) -> JProjectionReport:
-        """Check each member's J-orthogonal projection ``Q``: ``Q^2 = Q`` and
-        ``W Q = Q^T W`` to ``PROJECTION_IDENTITY_TOL``, and the composed
-        construction to ``CROSS_CHECK_TOL``. Each ``Q`` is dropped after its
-        checks, so none is kept, and none feeds the analysis operator, which
-        is built from r x r factors. A degenerate member raises."""
+    def j_projection_residuals(self, index: int) -> JProjectionResiduals:
+        """Member ``index``'s residuals that :meth:`verify_j_projections` reads,
+        from the ``(r, d)`` factors it describes. A degenerate member raises."""
         gram = self.gram
+        W, G = gram.matrix, gram.abs_matrix
+        B = self.family.subspaces[index].basis
+        WB = W @ B
+        N = self.j_factor(index)
+        JB = gram.symmetry @ B
+        BtG, JBtG = B.T @ G, JB.T @ G
+        # T = M_V (J B) M_{JV}, grouped so that both solves take r columns
+        left = np.linalg.solve(symmetrize(BtG @ B), BtG @ JB)
+        T = np.linalg.solve(symmetrize(JBtG @ JB), left.T).T @ JBtG
+        TB = T @ B
+        scale = max(1.0, frobenius(N))
+        composed_scale = max(1.0, frobenius(T))
+        return JProjectionResiduals(
+            scale=scale,
+            idempotency=frobenius((N @ B) @ N - N),
+            w_self_adjoint=_skew_norm(WB @ N),
+            composed={
+                "idempotency": frobenius(TB @ T - T) / composed_scale,
+                "fixes_subspace": frobenius(TB - np.eye(len(TB))),
+                "w_self_adjoint": _skew_norm(WB @ T)
+                / max(1.0, frobenius(W) * composed_scale),
+            },
+            cross_check=frobenius(T - N),
+        )
+
+    def verify_j_projections(self) -> JProjectionReport:
+        """Check each member's J-orthogonal projection ``Q``: ``Q^2 = Q`` to
+        ``PROJECTION_IDENTITY_TOL`` relative to ``max(1, ||Q||)``, ``W Q = Q^T W``
+        to it absolutely, and the composed construction ``P_V P_{JV}`` to
+        ``CROSS_CHECK_TOL``. A composed product with a residual of its own
+        above ``PROJECTION_IDENTITY_TOL`` is not a J-orthogonal projection (it
+        is one only on members invariant under ``J``), so its member gets a
+        note instead of a cross-check. A degenerate member raises.
+
+        Neither projection is formed. ``Q = B N`` with the kept
+        :meth:`j_factor` ``N = K^{-1} (W B)^T``, and ``P_V P_{JV} = B T`` with
+        ``T = M_V (J B) M_{JV}``, where ``M_V = (B^T G B)^{-1} B^T G`` for
+        ``G = |W|`` and likewise on the orthonormal basis ``J B`` of ``J V``;
+        each keeps its own formula, so the cross-check compares two
+        constructions. Each residual is the ``(d, d)`` norm read on the
+        factors, because ``||B X||_F = ||X||_F`` for orthonormal ``B``:
+        ``Q^2 - Q = B (N B N - N)``, ``P_V P_{JV} - Q = B (T - N)`` and
+        ``W Q - Q^T W = X - X^T`` with ``X = (W B) N``, a rank-r product."""
         identities_hold = cross_check_holds = True
         notes = []
-        for index, (subspace, check) in enumerate(
-            zip(self.family.subspaces, self.checks)
-        ):
+        for index, check in enumerate(self.checks):
             if not check:
                 raise DegenerateSubspaceError(
                     f"subspace {index} is degenerate under the indefinite form",
                     witness=check.witness,
                 )
-            Q = j_projection_from_check(subspace, gram, check)
-            scale = max(1.0, frobenius(Q))
+            residuals = self.j_projection_residuals(index)
             if (
-                frobenius(Q @ Q - Q) > PROJECTION_IDENTITY_TOL * scale
-                or frobenius(gram.matrix @ Q - Q.T @ gram.matrix)
-                > PROJECTION_IDENTITY_TOL
+                residuals.idempotency > PROJECTION_IDENTITY_TOL * residuals.scale
+                or residuals.w_self_adjoint > PROJECTION_IDENTITY_TOL
             ):
                 identities_hold = False
-            try:
-                composed = composed_projection_from_check(subspace, gram, check)
-            except ComposedProjectionError:
+            if any(
+                value > PROJECTION_IDENTITY_TOL for value in residuals.composed.values()
+            ):
                 notes.append(
                     f"subspace {index}: composed construction not applicable "
                     "(not invariant under the fundamental symmetry)"
                 )
-                continue
-            if frobenius(composed - Q) > CROSS_CHECK_TOL * scale:
+            elif residuals.cross_check > CROSS_CHECK_TOL * residuals.scale:
                 cross_check_holds = False
         return JProjectionReport(identities_hold, cross_check_holds, tuple(notes))
 
@@ -326,6 +380,22 @@ class FrameGeometry:
         )
         lower, upper = bounds.lower - DEFINITION_SLACK, bounds.upper + DEFINITION_SLACK
         return bool(np.all((lower <= values) & (values <= upper)))
+
+
+@dataclass(frozen=True)
+class JProjectionResiduals:
+    """One member's J-projection residuals, as Frobenius norms of ``(d, d)``
+    differences: ``scale`` is ``max(1, ||Q||)``, ``idempotency`` is
+    ``||Q^2 - Q||``, ``w_self_adjoint`` is ``||W Q - Q^T W||`` and
+    ``cross_check`` is ``||P_V P_{JV} - Q||``; ``composed`` holds the
+    composed product's own residuals, normalized and keyed as
+    ``subspaces.ComposedProjectionError`` keeps them."""
+
+    scale: float
+    idempotency: float
+    w_self_adjoint: float
+    composed: dict[str, float]
+    cross_check: float
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,6 @@ __all__ = [
     "parse_instance",
     "parse_instance_text",
     "instance_from_tree",
-    "instance_payload",
-    "serialize_instance",
     "instance_digest",
     "non_finite_path",
     "build_instance_gram",
@@ -323,28 +321,6 @@ def parse_instance(path) -> ProblemInstance:
     except OSError as exc:
         raise InstanceParseError(f"cannot read {path}: {exc}") from exc
     return parse_instance_text(text, source=str(path))
-
-
-def instance_payload(instance: ProblemInstance) -> dict:
-    """Instance as a canonical-serializable object tree."""
-    return {
-        "dimension": instance.dimension,
-        "gram": instance.gram.tolist(),
-        "subspaces": [
-            {"basis": block.T.tolist()} for block in instance.subspace_columns
-        ],
-        "weights": [float(w) for w in instance.weights],
-        "options": {
-            "epsilonThreshold": instance.options.epsilon_threshold,
-            "clusterTol": instance.options.cluster_tol,
-            "frameTol": instance.options.frame_tol,
-            "sweepEpsilons": list(instance.options.sweep_epsilons),
-        },
-    }
-
-
-def serialize_instance(instance: ProblemInstance) -> str:
-    return dumps_canonical(instance_payload(instance))
 
 
 def instance_digest(instance: ProblemInstance) -> str:

@@ -10,8 +10,9 @@ finite-dimensional reading of the projective completeness assumption;
 degenerate inputs raise :class:`DegenerateSubspaceError` with a witness
 vector of near-zero self-product.
 
-Two independent J-orthogonal constructions are provided. Only the
-projection checks form them; frame bounds use r x r factors. The direct
+Two independent J-orthogonal constructions are provided. Only tests form
+them: frame bounds use r x r factors, and the projection checks work on
+each projection's r x d factor ``N`` in ``Q = B N``. The direct
 Gram formula is checked against the composed product of two metric
 projections. That product agrees with it precisely on subspaces
 invariant under the fundamental symmetry, and it refuses (with

@@ -6,8 +6,9 @@ import pytest
 
 import kfr.linalg
 
-#: The dense LAPACK factorizations ``kfr`` reaches, as ``np.linalg`` names.
-FACTORIZATIONS = ("eigh", "eigvalsh", "svd", "cholesky")
+#: The dense LAPACK factorizations ``kfr`` reaches, as ``np.linalg`` names;
+#: ``solve`` is an LU factorization and its triangular solves.
+FACTORIZATIONS = ("eigh", "eigvalsh", "svd", "cholesky", "solve")
 
 
 class EigenCalls(list):

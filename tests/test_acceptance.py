@@ -28,7 +28,7 @@ from kfr.generators import (
     random_invariant_subspace,
     random_spectrum_gram,
 )
-from kfr.io import parse_instance_text, serialize_instance
+from kfr.io import parse_instance_text
 from kfr.krein import build_gram
 from kfr.linalg import frobenius
 from kfr.spectral import (
@@ -53,6 +53,8 @@ from kfr.transfer import (
     transfer_map_krein_to_hilbert,
     transfer_regular,
 )
+
+from instance_writer import serialize_instance
 
 
 def _report(number: int, ok: bool, label: str, detail: str = ""):

@@ -1,14 +1,22 @@
 import dataclasses
 import math
+import runpy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kfr.fusion
+import kfr.io
+import kfr.spectral
 import kfr.subspaces
+from kfr.cli import main
 from kfr.fusion import (
+    CROSS_CHECK_TOL,
     FrameGeometry,
+    JProjectionReport,
+    JProjectionResiduals,
     LocalFrameSystem,
     WeightedSubspaceFamily,
     analysis_operator,
@@ -20,15 +28,24 @@ from kfr.fusion import (
     verify_four_way_equivalence,
     whitened_bounds,
 )
-from kfr.generators import random_gram, random_invariant_family
+from kfr.generators import (
+    random_gram,
+    random_invariant_family,
+    random_invariant_subspace,
+    random_orthogonal,
+)
 from kfr.krein import build_gram
 from kfr.linalg import frobenius
 from kfr.subspaces import (
     J_ORTHOGONAL,
     ORTHOGONAL,
+    PROJECTION_IDENTITY_TOL,
+    ComposedProjectionError,
     DegenerateSubspaceError,
     Subspace,
+    composed_projection_from_check,
     j_orthogonal_projection_gram,
+    j_projection_from_check,
     orthogonal_projection,
     subspace_from_columns,
 )
@@ -337,26 +354,29 @@ class TestFrameGeometryVerdicts:
             FrameGeometry(family, g).verify_j_projections()
 
     def test_verify_builds_each_j_projection_once(self, monkeypatch):
-        # verifying forms each member's Q once and leaves the analysis
-        # operator alone: it is built from r x r factors, the same bits
-        # whether or not the projections were verified first
-        geometry = self.invariant_geometry()
-        fresh = FrameGeometry(geometry.family, geometry.gram)
-        reference = fresh.analysis_operator(J_ORTHOGONAL)
-        calls = []
-        original = kfr.fusion.j_projection_from_check
+        # one K-solve per member, shared by the verification and the J-block:
+        # the operator has the same bits whichever of the two runs first
+        first = self.invariant_geometry()
+        second = FrameGeometry(first.family, first.gram)
+        compressed = [check.compressed for check in first.checks]
+        second.__dict__["checks"] = first.checks
+        solved = []
+        original = np.linalg.solve
 
-        def counting(*args):
-            calls.append(args[0])
-            return original(*args)
+        def counting(matrix, *args):
+            solved.extend(i for i, K in enumerate(compressed) if matrix is K)
+            return original(matrix, *args)
 
-        monkeypatch.setattr(kfr.fusion, "j_projection_from_check", counting)
-        geometry.verify_j_projections()
-        assert geometry._operators == {}
-        operator = geometry.analysis_operator(J_ORTHOGONAL)
-        assert calls == list(geometry.family.subspaces)
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        report = first.verify_j_projections()
+        assert first._operators == {}
+        operator = first.analysis_operator(J_ORTHOGONAL)
+        assert solved == list(range(len(compressed)))
+        reference = second.analysis_operator(J_ORTHOGONAL)
+        assert second.verify_j_projections() == report
+        assert solved == 2 * list(range(len(compressed)))
         assert np.array_equal(operator, reference)
-        assert list(geometry._operators) == [J_ORTHOGONAL]
+        assert list(first._operators) == [J_ORTHOGONAL]
 
     def test_bounds_that_are_too_tight_break_the_definition(self):
         geometry = self.invariant_geometry()
@@ -372,6 +392,7 @@ class TestNoProjectionInBounds:
         "j_orthogonal_projection_gram",
         "j_projection_from_check",
         "composed_projection_from_check",
+        "j_orthogonal_projection_composed",
     )
 
     def forbid_projections(self, monkeypatch):
@@ -413,6 +434,196 @@ class TestNoProjectionInBounds:
         spectral.plain_bounds
         spectral.krein_bounds
         local_frames_to_fusion(system, g)
+
+
+    def test_no_projection_check_builds_a_projection(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        g = random_gram(rng, 8)
+        invariant = random_invariant_family(g, rng, 3, 3)
+        generic = subspace_from_columns(rng.standard_normal((8, 3)))
+        mixed = WeightedSubspaceFamily((1.0, 2.0), (invariant.subspaces[0], generic))
+        self.forbid_projections(monkeypatch)
+        assert FrameGeometry(invariant, g).verify_j_projections().notes == ()
+        assert len(FrameGeometry(mixed, g).verify_j_projections().notes) == 1
+
+    def test_check_builds_no_j_projection(self, tmp_path, monkeypatch):
+        # the one (d, d) projection left in check is the spectral blocks'
+        # projection sum, one orthogonal projection per block
+        instance = str(tmp_path / "instance.json")
+        assert main(["gen", "--seed", "1", "--dim", "24", "--subspaces", "3",
+                     "--output", instance]) == 0
+        spectral_calls = []
+        original = kfr.spectral.orthogonal_projection
+
+        def counting(*args):
+            spectral_calls.append(args[0])
+            return original(*args)
+
+        self.forbid_projections(monkeypatch)
+        monkeypatch.setattr(kfr.spectral, "orthogonal_projection", counting)
+        assert main(["check", "--input", instance,
+                     "--output", str(tmp_path / "report.json")]) == 0
+        gram = kfr.io.build_instance_gram(kfr.io.parse_instance(instance))
+        blocks = SpectralReport(gram).family.subspaces
+        assert len(spectral_calls) == len(blocks)
+        for called, block in zip(spectral_calls, blocks):
+            assert np.array_equal(called.basis, block.basis)
+
+
+class TestJProjectionFactorOracle:
+    """The factored projection check against the (d, d) constructors."""
+
+    @staticmethod
+    def dense_residuals(subspace, g, check):
+        W, G, B = g.matrix, g.abs_matrix, subspace.basis
+        Q = j_projection_from_check(subspace, g, check)
+        C = orthogonal_projection(subspace, G) @ orthogonal_projection(
+            Subspace(g.symmetry @ B), G
+        )
+        scale, composed_scale = max(1.0, frobenius(Q)), max(1.0, frobenius(C))
+        return JProjectionResiduals(
+            scale=scale,
+            idempotency=frobenius(Q @ Q - Q),
+            w_self_adjoint=frobenius(W @ Q - Q.T @ W),
+            composed={
+                "idempotency": frobenius(C @ C - C) / composed_scale,
+                "fixes_subspace": frobenius(C @ B - B),
+                "w_self_adjoint": frobenius(W @ C - C.T @ W)
+                / max(1.0, frobenius(W) * composed_scale),
+            },
+            cross_check=frobenius(C - Q),
+        )
+
+    @staticmethod
+    def dense_report(geometry):
+        # the check as it read the (d, d) projections
+        g = geometry.gram
+        identities = cross = True
+        notes = []
+        for index, (subspace, check) in enumerate(
+            zip(geometry.family.subspaces, geometry.checks)
+        ):
+            Q = j_projection_from_check(subspace, g, check)
+            scale = max(1.0, frobenius(Q))
+            if (
+                frobenius(Q @ Q - Q) > PROJECTION_IDENTITY_TOL * scale
+                or frobenius(g.matrix @ Q - Q.T @ g.matrix) > PROJECTION_IDENTITY_TOL
+            ):
+                identities = False
+            try:
+                composed = composed_projection_from_check(subspace, g, check)
+            except ComposedProjectionError:
+                notes.append(
+                    f"subspace {index}: composed construction not applicable "
+                    "(not invariant under the fundamental symmetry)"
+                )
+                continue
+            if frobenius(composed - Q) > CROSS_CHECK_TOL * scale:
+                cross = False
+        return JProjectionReport(identities, cross, tuple(notes))
+
+    def assert_matches_oracle(self, geometry):
+        g = geometry.gram
+        d, w_norm = g.dim, frobenius(g.matrix)
+        rounding = 16 * d * np.finfo(float).eps
+        for index, (subspace, check) in enumerate(
+            zip(geometry.family.subspaces, geometry.checks)
+        ):
+            got = geometry.j_projection_residuals(index)
+            want = self.dense_residuals(subspace, g, check)
+            scale = want.scale
+            composed_scale = max(scale, want.cross_check)
+            assert got.composed.keys() == want.composed.keys()
+            for value, reference, size in (
+                (got.scale, want.scale, scale),
+                (got.idempotency, want.idempotency, scale**2),
+                (got.w_self_adjoint, want.w_self_adjoint, w_norm * scale),
+                (got.cross_check, want.cross_check, composed_scale),
+                *(
+                    (got.composed[key], want.composed[key], composed_scale)
+                    for key in want.composed
+                ),
+            ):
+                assert abs(value - reference) <= rounding * size
+        report = geometry.verify_j_projections()
+        assert report == self.dense_report(geometry)
+        return report
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_families_match_the_dense_check(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 31))
+        g = random_gram(rng, d)
+        members = []
+        for invariant in (True, False, bool(rng.integers(2))):
+            rank = int(rng.integers(1, d))
+            if invariant:
+                members.append(random_invariant_subspace(g, rng, rank))
+            else:
+                members.append(subspace_from_columns(rng.standard_normal((d, rank))))
+        family = WeightedSubspaceFamily((1.0, 0.5, 2.0), tuple(members))
+        report = self.assert_matches_oracle(FrameGeometry(family, g))
+        assert report.identities_hold and report.cross_check_holds
+        assert any(note.startswith("subspace 1:") for note in report.notes)
+
+    @pytest.mark.parametrize("workload", ("mixed_small", "dense_large", "coord_large"))
+    def test_seed_one_bench_instances_match_the_dense_check(self, workload):
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        bench = runpy.run_path(str(path))
+        for instance in bench["build_instances"](bench["WORKLOADS"][workload], 1):
+            parsed = kfr.io.parse_instance_text(instance.text)
+            geometry = FrameGeometry(
+                kfr.io.build_instance_family(parsed), kfr.io.build_instance_gram(parsed)
+            )
+            self.assert_matches_oracle(geometry)
+
+    @pytest.mark.parametrize("plant", ("double", "skew"))
+    def test_planted_compressed_form_matches_far_above_rounding(self, plant):
+        # 2K halves Q, so Q^2 != Q; K plus a skew part also breaks W Q = Q^T W
+        rng = np.random.default_rng(5)
+        g = random_gram(rng, 6)
+        geometry = FrameGeometry(random_invariant_family(g, rng, 3, 2), g)
+        first, *rest = geometry.checks
+        skew = rng.standard_normal(first.compressed.shape)
+        planted = (
+            2.0 * first.compressed if plant == "double"
+            else first.compressed + (skew - skew.T)
+        )
+        geometry.__dict__["checks"] = (
+            dataclasses.replace(first, compressed=planted), *rest
+        )
+        report = self.assert_matches_oracle(geometry)
+        assert not report.identities_hold and not report.cross_check_holds
+        residuals = geometry.j_projection_residuals(0)
+        assert residuals.idempotency > PROJECTION_IDENTITY_TOL
+        if plant == "skew":
+            assert residuals.w_self_adjoint > PROJECTION_IDENTITY_TOL
+
+    def test_planted_symmetry_matches_far_above_rounding(self):
+        # a rotation in place of J: no composed product is a J-projection
+        rng = np.random.default_rng(5)
+        g = random_gram(rng, 6)
+        family = random_invariant_family(g, rng, 3, 2)
+        rotated = dataclasses.replace(g, symmetry=random_orthogonal(rng, 6))
+        geometry = FrameGeometry(family, rotated)
+        report = self.assert_matches_oracle(geometry)
+        assert len(report.notes) == len(family)
+        for index in range(len(family)):
+            composed = geometry.j_projection_residuals(index).composed
+            assert min(composed.values()) > PROJECTION_IDENTITY_TOL
+
+    def test_degenerate_member_raises_as_before(self):
+        g = build_gram(np.diag([2.0, -1.0, -3.0]))
+        family = WeightedSubspaceFamily(
+            (1.0, 1.0), (line(1.0, 0.0, 0.0), line(1.0, math.sqrt(2.0), 0.0))
+        )
+        geometry = FrameGeometry(family, g)
+        with pytest.raises(DegenerateSubspaceError) as raised:
+            geometry.verify_j_projections()
+        assert str(raised.value) == "subspace 1 is degenerate under the indefinite form"
+        assert raised.value.witness is geometry.checks[1].witness
+        with pytest.raises(DegenerateSubspaceError, match="^indefinite form"):
+            geometry.j_projection_residuals(1)
 
 
 class TestLocalFrames:

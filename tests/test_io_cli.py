@@ -23,9 +23,10 @@ from kfr.io import (
     dumps_canonical,
     instance_digest,
     parse_instance_text,
-    serialize_instance,
 )
 from kfr.spectral import SpectralReport
+
+from instance_writer import serialize_instance
 
 
 def minimal_payload():
@@ -566,16 +567,26 @@ class TestCli:
     #: the bases they have. ``cholesky``: one per member and projection kind
     #: of each bound. ``eigh`` and ``eigvalsh`` are the solves above that
     #: reach LAPACK; the others take ``symmetric_eig``'s already-diagonal path.
+    #: ``solve``: one per member and kind of each bound (the J-kind's is the
+    #: member's kept ``K^{-1} (W B)^T``), one per spectral block for the
+    #: projection sum; check's 23 add two per member, with r right-hand
+    #: sides, for the composed J-projection, whose direct one reads the
+    #: J-block's solve.
     FACTORIZATIONS = {
         ("analyze", "--metric", "hilbert"):
-            {"eigh": 0, "eigvalsh": 1, "svd": 3, "cholesky": 3},
+            {"eigh": 0, "eigvalsh": 1, "svd": 3, "cholesky": 3, "solve": 3},
         ("analyze", "--metric", "krein"):
-            {"eigh": 4, "eigvalsh": 1, "svd": 3, "cholesky": 3},
-        ("equivalence",): {"eigh": 7, "eigvalsh": 4, "svd": 3, "cholesky": 12},
-        ("transfer",): {"eigh": 5, "eigvalsh": 4, "svd": 15, "cholesky": 12},
-        ("sweep",): {"eigh": 18, "eigvalsh": 13, "svd": 3, "cholesky": 21},
-        ("spectral",): {"eigh": 1, "eigvalsh": 0, "svd": 0, "cholesky": 2},
-        ("check",): {"eigh": 7, "eigvalsh": 5, "svd": 3, "cholesky": 16},
+            {"eigh": 4, "eigvalsh": 1, "svd": 3, "cholesky": 3, "solve": 3},
+        ("equivalence",):
+            {"eigh": 7, "eigvalsh": 4, "svd": 3, "cholesky": 12, "solve": 12},
+        ("transfer",):
+            {"eigh": 5, "eigvalsh": 4, "svd": 15, "cholesky": 12, "solve": 12},
+        ("sweep",):
+            {"eigh": 18, "eigvalsh": 13, "svd": 3, "cholesky": 21, "solve": 21},
+        ("spectral",):
+            {"eigh": 1, "eigvalsh": 0, "svd": 0, "cholesky": 2, "solve": 3},
+        ("check",):
+            {"eigh": 7, "eigvalsh": 5, "svd": 3, "cholesky": 16, "solve": 23},
     }
 
     @pytest.mark.parametrize(
