@@ -11,7 +11,7 @@ companion-geometry counterpart. A deterministic CLI (``kfr``) exposes
 the analyses over JSON instance files.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from types import ModuleType as _ModuleType
 
@@ -23,12 +23,10 @@ from .fusion import (
     LocalFrameReport,
     LocalFrameSystem,
     WeightedSubspaceFamily,
-    analysis_operator,
     frame_bounds,
     frame_operator,
     local_frames_to_fusion,
     transport_by_invertible,
-    vector_frame_bounds,
     verify_four_way_equivalence,
     whitened_bounds,
 )

@@ -51,12 +51,7 @@ from .io import (
 from .krein import KernelError, norm_equivalence_holds, verify_polar_identities
 from .linalg import ConvergenceError, MetricError
 from .spectral import SpectralReport
-from .subspaces import (
-    ComposedProjectionError,
-    DegenerateSubspaceError,
-    J_ORTHOGONAL,
-    ORTHOGONAL,
-)
+from .subspaces import ComposedProjectionError, DegenerateSubspaceError, J_ORTHOGONAL
 from .transfer import (
     RegularityError,
     diagonal_gram_family,
@@ -141,9 +136,7 @@ def run_analyze(instance: ProblemInstance, args) -> tuple[dict, int]:
         geometry = FrameGeometry(family, build_instance_gram(instance))
         bounds = geometry.bounds(J_ORTHOGONAL, frame_tol=tol)
     else:
-        bounds = frame_bounds(
-            family, np.eye(instance.dimension), ORTHOGONAL, frame_tol=tol
-        )
+        bounds = frame_bounds(family, frame_tol=tol)
     sections = {"metric": args.metric, "bounds": _bounds_payload(bounds)}
     return sections, EXIT_OK
 

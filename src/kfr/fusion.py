@@ -1,20 +1,17 @@
 """Weighted subspace families and their frame bounds.
 
-Every bound comes from one analysis operator ``A`` (Casazza and Kutyniok,
-"Frames of subspaces", 2004) with ``A^T A = sum_i x_i^2 P_i^T G P_i``, the
-frame operator under a metric ``G``, built from r x r factors per member
-with no ``(d, d)`` projection. Optimal bounds are the extreme eigenvalues
-of ``F^T F`` for ``F = A G^{-1/2}``; they are exact, not certified, so
-every theorem check is as tight as the arithmetic allows.
+Every bound comes from an analysis operator ``A`` (Casazza and Kutyniok,
+"Frames of subspaces", 2004) whose Gram ``A^T A`` is the frame operator.
+Optimal bounds are the extreme eigenvalues of ``F^T F`` for the whitened
+``F``; they are exact, not certified. One entry point per geometry:
 
-Companion-metric bounds (``G = |W|``) come from one :class:`FrameGeometry`
-per (family, Gram operator), which keeps the factors more than one bound
-reads, so no member's compressed form is factored twice.
-
-Projections come in two kinds, matching the two frame-of-subspaces
-definitions: metric-orthogonal projections for a plain or companion inner
-product, and J-orthogonal projections for the indefinite form of a Gram
-operator.
+- :func:`frame_bounds`, plain: ``F = A`` stacks the rows ``x_i B_i^T``.
+- :meth:`FrameGeometry.bounds`, companion (``G = |W|``): ``A^T A =
+  sum_i x_i^2 P_i^T G P_i`` from r x r factors per member, with no
+  ``(d, d)`` projection, and ``F = A |W|^{-1/2}``. The geometry keeps the
+  factors more than one bound reads, so none is factored twice. Its
+  projections come in two kinds, matching the two frame-of-subspaces
+  definitions: ``|W|``-orthogonal and J-orthogonal.
 """
 
 from __future__ import annotations
@@ -26,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .krein import GramOperator
-from .linalg import (
-    frobenius,
-    inverse_sqrt_of_metric,
-    orthonormalize,
-    symmetric_eig,
-    symmetrize,
-)
+from .linalg import frobenius, orthonormalize, symmetric_eig, symmetrize
 from .subspaces import (
     PROJECTION_IDENTITY_TOL,
     CompletenessCheck,
@@ -56,11 +47,9 @@ __all__ = [
     "FourWayReport",
     "LocalFrameSystem",
     "LocalFrameReport",
-    "analysis_operator",
     "frame_operator",
     "frame_bounds",
     "whitened_bounds",
-    "vector_frame_bounds",
     "verify_four_way_equivalence",
     "local_frames_to_fusion",
     "transport_by_invertible",
@@ -165,52 +154,40 @@ def _block(weight: float, subspace: Subspace, G: np.ndarray, j_factor=None):
     return weight * (root.T @ j_factor)
 
 
-def _operator(family, G: np.ndarray, kind: str, geometry) -> np.ndarray:
-    """Blocks in family order; J-orthogonal ones read ``geometry``'s kept
-    J-factors, each made (or raised on, for a degenerate member) just
-    before its block."""
-    if kind == ORTHOGONAL:
-        j_factors = (None,) * len(family)
-    elif kind == J_ORTHOGONAL:
-        j_factors = map(geometry.j_factor, range(len(family)))
-    else:
-        raise ValueError(f"unknown projection kind {kind!r}")
-    members = zip(family.weights, family.subspaces, j_factors)
-    return np.vstack([
-        _block(weight, subspace, G, j_factor) for weight, subspace, j_factor in members
-    ])
+def frame_bounds(
+    family: WeightedSubspaceFamily, frame_tol: float = FRAME_TOL
+) -> FrameBounds:
+    """Optimal plain-metric bounds, the extremes of
+    ``sum_i x_i^2 |P_i k|^2 / |k|^2``, from the rows ``x_i B_i^T``.
 
-
-def analysis_operator(
-    family: WeightedSubspaceFamily,
-    metric,
-    kind: str = ORTHOGONAL,
-    gram: GramOperator | None = None,
-) -> np.ndarray:
-    """Stacked ``(R, d)`` operator of blocks ``x_i L_i^T B_i^T P_i``, where
-    ``L_i L_i^T = B_i^T G B_i``, each built from r x r factors (no ``P_i`` is
-    formed); its Gram ``A^T A`` is the frame operator."""
-    G = symmetrize(metric)
-    if G.shape[0] != family.ambient_dim:
-        raise ValueError(
-            f"metric dimension {G.shape[0]} does not match family "
-            f"dimension {family.ambient_dim}"
-        )
-    if kind == J_ORTHOGONAL and gram is None:
-        raise ValueError("J-orthogonal projections need a Gram operator")
-    geometry = FrameGeometry(family, gram) if kind == J_ORTHOGONAL else None
-    return _operator(family, G, kind, geometry)
+    It assumes orthonormal bases, for which ``B_i B_i^T = P_i``. A basis
+    with ``||B^T B - I||_2 = delta`` gives ``(1 - delta) P <= B B^T <=
+    (1 + delta) P``, so each bound is within ``delta`` relative (the
+    largest over the members) of the projections' bound. :class:`Subspace`
+    admits ``delta`` up to ``ORTHONORMALITY_TOL``."""
+    return whitened_bounds(_plain_operator(family), frame_tol)
 
 
 def frame_operator(
     family: WeightedSubspaceFamily,
-    metric,
-    kind: str = ORTHOGONAL,
     gram: GramOperator | None = None,
+    kind: str = ORTHOGONAL,
 ) -> np.ndarray:
-    """Frame operator ``A^T A = sum_i x_i^2 P_i^T G P_i``."""
-    A = analysis_operator(family, metric, kind, gram)
+    """The ``(d, d)`` frame operator ``A^T A`` that the bounds reduce: the
+    plain ``sum_i x_i^2 B_i B_i^T`` without ``gram``, or the companion
+    ``sum_i x_i^2 P_i^T |W| P_i`` of ``gram``'s geometry for either kind."""
+    if gram is None:
+        if kind != ORTHOGONAL:
+            raise ValueError("J-orthogonal projections need a Gram operator")
+        A = _plain_operator(family)
+    else:
+        A = FrameGeometry(family, gram).analysis_operator(kind)
     return symmetrize(A.T @ A)
+
+
+def _plain_operator(family: WeightedSubspaceFamily) -> np.ndarray:
+    """Rows ``x_i B_i^T`` in family order."""
+    return np.vstack([w * s.basis.T for w, s in zip(family.weights, family.subspaces)])
 
 
 def _skew_norm(X: np.ndarray) -> float:
@@ -281,10 +258,23 @@ class FrameGeometry:
         )
 
     def analysis_operator(self, kind: str) -> np.ndarray:
-        """Companion-metric analysis operator for one projection kind."""
+        """Companion-metric analysis operator for one projection kind, its
+        blocks in family order. J-orthogonal blocks read the kept
+        :meth:`j_factor`, each made (or raised on, for a degenerate member)
+        just before its block."""
         if kind not in self._operators:
+            if kind == ORTHOGONAL:
+                j_factors = (None,) * len(self.family)
+            elif kind == J_ORTHOGONAL:
+                j_factors = map(self.j_factor, range(len(self.family)))
+            else:
+                raise ValueError(f"unknown projection kind {kind!r}")
             G = self.gram.abs_matrix
-            self._operators[kind] = _operator(self.family, G, kind, self)
+            members = zip(self.family.weights, self.family.subspaces, j_factors)
+            self._operators[kind] = np.vstack([
+                _block(weight, subspace, G, j_factor)
+                for weight, subspace, j_factor in members
+            ])
         return self._operators[kind]
 
     def extremes(self, kind: str) -> tuple[float, float]:
@@ -406,35 +396,6 @@ class JProjectionReport:
     identities_hold: bool
     cross_check_holds: bool
     notes: tuple[str, ...]
-
-
-def frame_bounds(
-    family: WeightedSubspaceFamily,
-    metric,
-    kind: str = ORTHOGONAL,
-    gram: GramOperator | None = None,
-    frame_tol: float = FRAME_TOL,
-) -> FrameBounds:
-    """Optimal frame bounds: extremes of ``|A k|^2 / k^T G k``."""
-    G = symmetrize(metric)
-    if gram is not None and np.array_equal(G, gram.abs_matrix):
-        return FrameGeometry(family, gram).bounds(kind, frame_tol)
-    root = None if np.array_equal(G, np.eye(len(G))) else inverse_sqrt_of_metric(G)
-    A = analysis_operator(family, G, kind, gram)
-    return whitened_bounds(A if root is None else A @ root, frame_tol)
-
-
-def vector_frame_bounds(vectors, metric, frame_tol: float = FRAME_TOL) -> FrameBounds:
-    """Optimal bounds of a finite vector frame under an SPD metric.
-
-    The quadratic form is ``sum_j <k, f_j>_G^2``: the analysis operator
-    has rows ``(G f_j)^T``.
-    """
-    G = symmetrize(metric)
-    rows = np.array([np.asarray(f, dtype=float) for f in vectors])
-    if rows.ndim != 2 or rows.shape[1] != G.shape[0]:
-        raise ValueError(f"expected a nonempty list of ({G.shape[0]},) frame vectors")
-    return whitened_bounds(rows @ G @ inverse_sqrt_of_metric(G), frame_tol)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from .fusion import FrameBounds, FrameGeometry, WeightedSubspaceFamily, frame_bounds
 from .krein import GramOperator
 from .linalg import frobenius
-from .subspaces import J_ORTHOGONAL, ORTHOGONAL, Subspace, orthogonal_projection
+from .subspaces import J_ORTHOGONAL, Subspace
 
 __all__ = [
     "AtomicMeasure",
@@ -313,11 +313,11 @@ class SpectralReport:
 
     @functools.cached_property
     def projection_sum_residual(self) -> float:
-        """Frobenius distance of the summed block projections from ``I``."""
-        identity = np.eye(self.gram.dim)
-        subspaces = self.family.subspaces
-        projections = (orthogonal_projection(s, identity) for s in subspaces)
-        return frobenius(sum(projections) - identity)
+        """Frobenius distance of the summed block projections from ``I``: the
+        blocks are orthonormal, so the sum is ``S S^T`` for the stacked bases
+        ``S = [B_1 ... B_k]``."""
+        S = np.hstack([s.basis for s in self.family.subspaces])
+        return frobenius(S @ S.T - np.eye(self.gram.dim))
 
     @functools.cached_property
     def multiplication_form_residual(self) -> float:
@@ -330,7 +330,7 @@ class SpectralReport:
 
     @functools.cached_property
     def plain_bounds(self) -> FrameBounds:
-        return frame_bounds(self.family, np.eye(self.gram.dim), ORTHOGONAL)
+        return frame_bounds(self.family)
 
     @functools.cached_property
     def krein_bounds(self) -> FrameBounds:

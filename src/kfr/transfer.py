@@ -38,7 +38,7 @@ from .fusion import (
     whitened_bounds,
 )
 from .krein import EPSILON_THRESHOLD, GramOperator, build_gram
-from .subspaces import DegenerateSubspaceError, J_ORTHOGONAL, ORTHOGONAL, spans_equal
+from .subspaces import DegenerateSubspaceError, J_ORTHOGONAL, spans_equal
 
 __all__ = [
     "RegularityError",
@@ -106,9 +106,7 @@ def transfer_regular(
             "transfer with certified interval requires a regular Gram "
             "operator; use singular_sweep for the near-singular family"
         )
-    hilbert = frame_bounds(
-        geometry.family, np.eye(gram.dim), ORTHOGONAL, frame_tol=frame_tol
-    )
+    hilbert = frame_bounds(geometry.family, frame_tol=frame_tol)
     krein = geometry.bounds(J_ORTHOGONAL, frame_tol)
     smallest = gram.regularity.min_abs_eigenvalue
     largest = gram.regularity.max_abs_eigenvalue
@@ -183,9 +181,7 @@ def verify_transfer_maps(
     forward = transfer_map_hilbert_to_krein(family, gram)
     forward_bounds = FrameGeometry(forward, gram).bounds(J_ORTHOGONAL, frame_tol)
     backward = transfer_map_krein_to_hilbert(family, gram)
-    backward_bounds = frame_bounds(
-        backward, np.eye(gram.dim), ORTHOGONAL, frame_tol=frame_tol
-    )
+    backward_bounds = frame_bounds(backward, frame_tol=frame_tol)
     round_trip = transfer_map_krein_to_hilbert(forward, gram)
     hilbert, krein = report.hilbert_bounds, report.krein_bounds
     return TransferMapsReport(
@@ -248,9 +244,7 @@ def singular_sweep(
     if eps[0] / eps[-1] < 1e3:
         raise ValueError("epsilons must span at least three decades")
 
-    hilbert = frame_bounds(
-        family, np.eye(family.ambient_dim), ORTHOGONAL, frame_tol=frame_tol
-    )
+    hilbert = frame_bounds(family, frame_tol=frame_tol)
     if not hilbert.is_frame:
         raise ValueError(
             "the family is not a frame in the plain metric; the sweep "

@@ -38,7 +38,6 @@ from kfr.spectral import (
 )
 from kfr.subspaces import (
     J_ORTHOGONAL,
-    ORTHOGONAL,
     Subspace,
     j_orthogonal_projection_composed,
     j_orthogonal_projection_gram,
@@ -180,18 +179,18 @@ def test_criterion_5_isometric_transfer():
         g = random_gram(rng, 6)
         family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
 
-        hilbert = frame_bounds(family, np.eye(6), ORTHOGONAL)
+        hilbert = frame_bounds(family)
         forward = transfer_map_hilbert_to_krein(family, g)
-        image = frame_bounds(forward, g.abs_matrix, J_ORTHOGONAL, g)
+        image = FrameGeometry(forward, g).bounds(J_ORTHOGONAL)
         worst_rel = max(
             worst_rel,
             abs(image.lower - hilbert.lower) / max(1.0, abs(hilbert.lower)),
             abs(image.upper - hilbert.upper) / max(1.0, abs(hilbert.upper)),
         )
 
-        krein = frame_bounds(family, g.abs_matrix, J_ORTHOGONAL, g)
+        krein = FrameGeometry(family, g).bounds(J_ORTHOGONAL)
         backward = transfer_map_krein_to_hilbert(family, g)
-        back = frame_bounds(backward, np.eye(6), ORTHOGONAL)
+        back = frame_bounds(backward)
         worst_rel = max(
             worst_rel,
             abs(back.lower - krein.lower) / max(1.0, abs(krein.lower)),
@@ -321,11 +320,8 @@ def test_criterion_8_spectral_representation():
                 for b in rep.blocks
             ),
         )
-        bounds = frame_bounds(
-            krein_decomposition(g, rep).family(),
-            g.abs_matrix,
-            J_ORTHOGONAL,
-            g,
+        bounds = FrameGeometry(krein_decomposition(g, rep).family(), g).bounds(
+            J_ORTHOGONAL
         )
         worst_parseval = max(
             worst_parseval, abs(bounds.lower - 1.0), abs(bounds.upper - 1.0)
@@ -358,12 +354,12 @@ def test_criterion_9_oracle_equivalence():
         )
         if use_krein:
             metric = g.abs_matrix
-            operator = frame_operator(family, metric, J_ORTHOGONAL, g)
-            bounds = frame_bounds(family, metric, J_ORTHOGONAL, g)
+            operator = frame_operator(family, g, J_ORTHOGONAL)
+            bounds = FrameGeometry(family, g).bounds(J_ORTHOGONAL)
         else:
             metric = np.eye(dim)
-            operator = frame_operator(family, metric, ORTHOGONAL)
-            bounds = frame_bounds(family, metric, ORTHOGONAL)
+            operator = frame_operator(family)
+            bounds = frame_bounds(family)
 
         directions = rng.standard_normal((sample_count, dim))
         numerators = np.einsum("ij,jk,ik->i", directions, operator, directions)

@@ -9,7 +9,6 @@ import pytest
 
 import kfr.fusion
 import kfr.io
-import kfr.spectral
 import kfr.subspaces
 from kfr.cli import main
 from kfr.fusion import (
@@ -19,12 +18,10 @@ from kfr.fusion import (
     JProjectionResiduals,
     LocalFrameSystem,
     WeightedSubspaceFamily,
-    analysis_operator,
     frame_bounds,
     frame_operator,
     local_frames_to_fusion,
     transport_by_invertible,
-    vector_frame_bounds,
     verify_four_way_equivalence,
     whitened_bounds,
 )
@@ -81,20 +78,24 @@ class TestFamilyType:
 
 class TestFrameOperator:
     def test_coordinate_parseval(self):
-        M = frame_operator(coordinate_family(2), np.eye(2))
+        M = frame_operator(coordinate_family(2))
         assert np.allclose(M, np.eye(2), atol=1e-12)
 
     def test_scaled_whole_space(self):
         family = WeightedSubspaceFamily((2.0,), (Subspace(np.eye(2)),))
-        M = frame_operator(family, np.eye(2))
+        M = frame_operator(family)
         assert np.allclose(M, 4.0 * np.eye(2), atol=1e-12)
 
     def test_two_lines_closed_form(self):
         family = WeightedSubspaceFamily(
             (1.0, 1.0), (line(1.0, 0.0), line(1.0, 1.0))
         )
-        M = frame_operator(family, np.eye(2))
+        M = frame_operator(family)
         assert np.allclose(M, np.array([[1.5, 0.5], [0.5, 0.5]]), atol=1e-12)
+
+    def test_plain_metric_has_no_j_orthogonal_kind(self):
+        with pytest.raises(ValueError, match="need a Gram operator"):
+            frame_operator(coordinate_family(2), kind=J_ORTHOGONAL)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_quadratic_form_matches_projection_norms(self, seed):
@@ -102,9 +103,7 @@ class TestFrameOperator:
         g = random_gram(rng, 6)
         family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
         G = g.abs_matrix
-        M = frame_operator(family, G, J_ORTHOGONAL, g)
-        from kfr.subspaces import j_orthogonal_projection_gram
-
+        M = frame_operator(family, g, J_ORTHOGONAL)
         projections = [
             j_orthogonal_projection_gram(s, g) for s in family.subspaces
         ]
@@ -130,7 +129,8 @@ class TestAnalysisOperator:
         family = random_invariant_family(
             g, rng, 3, d // 3 + 1, weight_range=(0.5, 2.0)
         )
-        G = np.eye(d) if metric_name == "plain" else g.abs_matrix
+        plain = metric_name == "plain"
+        G = np.eye(d) if plain else g.abs_matrix
         reference = np.zeros((d, d))
         for weight, subspace in zip(family.weights, family.subspaces):
             if kind == ORTHOGONAL:
@@ -138,11 +138,12 @@ class TestAnalysisOperator:
             else:
                 P = j_orthogonal_projection_gram(subspace, g)
             reference += weight**2 * (P.T @ G @ P)
-        A = analysis_operator(family, G, kind, g)
-        assert A.shape == (sum(s.dim for s in family.subspaces), d)
-        M = frame_operator(family, G, kind, g)
+        M = frame_operator(family) if plain else frame_operator(family, g, kind)
         assert frobenius(M - reference) <= 1e-12 * frobenius(reference)
-        assert frobenius(A.T @ A - reference) <= 1e-12 * frobenius(reference)
+        if not plain:
+            A = FrameGeometry(family, g).analysis_operator(kind)
+            assert A.shape == (sum(s.dim for s in family.subspaces), d)
+            assert frobenius(A.T @ A - reference) <= 1e-12 * frobenius(reference)
 
     def test_companion_bounds_factor_no_dense_matrix_but_one(self, count_eigs):
         # |W|^{-1/2} comes from the Gram operator, so the only d x d
@@ -151,7 +152,7 @@ class TestAnalysisOperator:
         g = random_gram(rng, 12)
         family = random_invariant_family(g, rng, 3, 4)
         sizes = count_eigs()
-        bounds = frame_bounds(family, g.abs_matrix, J_ORTHOGONAL, g)
+        bounds = FrameGeometry(family, g).bounds(J_ORTHOGONAL)
         assert sizes.count(12) == 1
         assert sizes.count(4) == 3
         assert bounds.is_frame
@@ -171,15 +172,10 @@ class TestAnalysisOperator:
         exact = whitened_bounds(np.diag([0.5, 3.0]))
         assert (exact.lower, exact.upper) == (0.25, 9.0)
 
-    def test_metric_not_definite_on_a_subspace(self):
-        family = WeightedSubspaceFamily((1.0,), (line(1.0, 0.0),))
-        with pytest.raises(np.linalg.LinAlgError):
-            analysis_operator(family, np.diag([-1.0, 1.0]))
-
 
 class TestFrameBounds:
     def test_coordinate_parseval(self):
-        bounds = frame_bounds(coordinate_family(2), np.eye(2))
+        bounds = frame_bounds(coordinate_family(2))
         assert bounds.lower == pytest.approx(1.0, abs=1e-12)
         assert bounds.upper == pytest.approx(1.0, abs=1e-12)
         assert bounds.is_parseval
@@ -188,7 +184,7 @@ class TestFrameBounds:
         family = WeightedSubspaceFamily(
             (1.0, 1.0), (line(1.0, 0.0), line(1.0, 1.0))
         )
-        bounds = frame_bounds(family, np.eye(2))
+        bounds = frame_bounds(family)
         assert bounds.lower == pytest.approx((2.0 - math.sqrt(2)) / 2.0, abs=1e-12)
         assert bounds.upper == pytest.approx((2.0 + math.sqrt(2)) / 2.0, abs=1e-12)
         assert bounds.is_frame and not bounds.is_tight
@@ -196,7 +192,7 @@ class TestFrameBounds:
     def test_companion_metric_parseval(self):
         # coordinate axes are Parseval in the companion norm of diag(2,3)
         g = build_gram(np.diag([2.0, 3.0]))
-        bounds = frame_bounds(coordinate_family(2), g.abs_matrix, J_ORTHOGONAL, g)
+        bounds = FrameGeometry(coordinate_family(2), g).bounds(J_ORTHOGONAL)
         assert bounds.lower == pytest.approx(1.0, abs=1e-10)
         assert bounds.upper == pytest.approx(1.0, abs=1e-10)
         assert bounds.is_parseval
@@ -208,7 +204,7 @@ class TestFrameBounds:
             (1.0, 1.0, 1.0),
             tuple(Subspace(q[:, 2 * i : 2 * i + 2].copy()) for i in range(3)),
         )
-        bounds = frame_bounds(family, np.eye(6))
+        bounds = frame_bounds(family)
         assert bounds.is_parseval
 
     @pytest.mark.parametrize("seed", range(3))
@@ -217,8 +213,8 @@ class TestFrameBounds:
         g = random_gram(rng, 6)
         family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
         G = g.abs_matrix
-        bounds = frame_bounds(family, G, J_ORTHOGONAL, g)
-        M = frame_operator(family, G, J_ORTHOGONAL, g)
+        bounds = FrameGeometry(family, g).bounds(J_ORTHOGONAL)
+        M = frame_operator(family, g, J_ORTHOGONAL)
         for _ in range(1000):
             k = rng.standard_normal(6)
             k /= math.sqrt(float(k @ G @ k))
@@ -226,21 +222,70 @@ class TestFrameBounds:
             assert bounds.lower - 1e-8 <= value <= bounds.upper + 1e-8
 
 
-class TestVectorFrameBounds:
-    def test_orthonormal_basis(self):
-        bounds = vector_frame_bounds([np.array([1.0, 0.0]), np.array([0.0, 1.0])], np.eye(2))
-        assert bounds.is_parseval
+class TestPlainBounds:
+    """The plain-metric bounds read the rows ``x_i B_i^T``, which assumes
+    orthonormal bases, and obey two metamorphic relations."""
 
-    def test_repeated_vector(self):
-        vectors = [np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        bounds = vector_frame_bounds(vectors, np.eye(2))
-        assert bounds.lower == pytest.approx(1.0, abs=1e-10)
-        assert bounds.upper == pytest.approx(2.0, abs=1e-10)
+    @staticmethod
+    def random_family(rng, d, count, rank):
+        members = tuple(
+            subspace_from_columns(rng.standard_normal((d, rank))) for _ in range(count)
+        )
+        return WeightedSubspaceFamily(tuple(rng.uniform(0.5, 2.0, count)), members)
 
-    def test_non_spanning_set(self):
-        bounds = vector_frame_bounds([np.array([1.0, 0.0])], np.eye(2))
-        assert bounds.lower == pytest.approx(0.0, abs=1e-12)
-        assert not bounds.is_frame
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nearly_orthonormal_bases_stay_within_the_stated_bound(self, seed):
+        # B (I + S) with ||S||_F = 5e-12 gives ||B^T B - I||_F ~ 1e-11, which
+        # Subspace admits; each bound is within ||B^T B - I||_2 relative of
+        # the bound of the exact projections, plus rounding
+        rng = np.random.default_rng(700 + seed)
+        d, rank = 12, 3
+        members, delta = [], 0.0
+        for subspace in self.random_family(rng, d, 5, rank).subspaces:
+            S = rng.standard_normal((rank, rank))
+            S = (S + S.T) * (5e-12 / frobenius(S + S.T))
+            perturbed = Subspace(subspace.basis @ (np.eye(rank) + S))
+            gram = perturbed.basis.T @ perturbed.basis - np.eye(rank)
+            assert 5e-12 <= frobenius(gram) <= 2e-11
+            delta = max(delta, float(np.linalg.norm(gram, 2)))
+            members.append(perturbed)
+        weights = tuple(rng.uniform(0.5, 2.0, len(members)))
+        bounds = frame_bounds(WeightedSubspaceFamily(weights, tuple(members)))
+        reference = sum(
+            w**2 * orthogonal_projection(s, np.eye(d)) for w, s in zip(weights, members)
+        )
+        values = np.linalg.eigvalsh(reference)
+        rounding = 16 * d * np.finfo(float).eps * values[-1]
+        assert bounds.is_frame
+        for got, expected in ((bounds.lower, values[0]), (bounds.upper, values[-1])):
+            assert abs(got - expected) <= delta * expected + rounding
+
+    @pytest.mark.parametrize("d", (6, 12, 24))
+    def test_permuting_members_keeps_the_bounds(self, d):
+        rng = np.random.default_rng(800 + d)
+        for _ in range(10):
+            family = self.random_family(rng, d, 4, d // 2)
+            order = rng.permutation(len(family))
+            permuted = WeightedSubspaceFamily(
+                tuple(family.weights[i] for i in order),
+                tuple(family.subspaces[i] for i in order),
+            )
+            before, after = frame_bounds(family), frame_bounds(permuted)
+            assert before.is_frame
+            floor = 1e-12 * before.upper
+            assert abs(after.lower - before.lower) <= floor
+            assert abs(after.upper - before.upper) <= floor
+
+    @pytest.mark.parametrize("d", (6, 12, 24))
+    def test_weights_times_eight_scale_the_bounds_by_64_exactly(self, d):
+        rng = np.random.default_rng(900 + d)
+        for _ in range(10):
+            family = self.random_family(rng, d, 3, d // 2)
+            scaled = WeightedSubspaceFamily(
+                tuple(8.0 * w for w in family.weights), family.subspaces
+            )
+            before, after = frame_bounds(family), frame_bounds(scaled)
+            assert (after.lower, after.upper) == (64.0 * before.lower, 64.0 * before.upper)
 
 
 class TestFourWayEquivalence:
@@ -296,7 +341,7 @@ class TestFrameGeometry:
         assert report.q_on_subspaces == krein
         assert (strict.lower, strict.upper) == (krein.lower, krein.upper)
         assert krein.is_frame and not strict.is_frame
-        assert krein == frame_bounds(family, g.abs_matrix, J_ORTHOGONAL, g)
+        assert krein == FrameGeometry(family, g).bounds(J_ORTHOGONAL)
 
     def test_rejects_mismatched_dimension_and_unknown_kind(self):
         g = build_gram(np.diag([2.0, -3.0, 1.0]))
@@ -417,11 +462,8 @@ class TestNoProjectionInBounds:
         system = LocalFrameSystem(blocks=blocks, weights=(1.0, 0.5, 2.0))
         self.forbid_projections(monkeypatch)
 
-        frame_bounds(family, np.eye(8))
-        frame_bounds(family, np.eye(8), J_ORTHOGONAL, g)
-        frame_bounds(family, g.abs_matrix)
+        frame_bounds(family)
         for kind in (ORTHOGONAL, J_ORTHOGONAL):
-            frame_bounds(family, g.abs_matrix, kind, g)
             FrameGeometry(family, g).bounds(kind)
         geometry = FrameGeometry(family, g)
         assert verify_four_way_equivalence(geometry).bounds_agree
@@ -447,27 +489,15 @@ class TestNoProjectionInBounds:
         assert len(FrameGeometry(mixed, g).verify_j_projections().notes) == 1
 
     def test_check_builds_no_j_projection(self, tmp_path, monkeypatch):
-        # the one (d, d) projection left in check is the spectral blocks'
-        # projection sum, one orthogonal projection per block
+        # every (d, d) projection constructor is stubbed in every kfr module,
+        # spectral included, and a whole check and spectral still pass
         instance = str(tmp_path / "instance.json")
         assert main(["gen", "--seed", "1", "--dim", "24", "--subspaces", "3",
                      "--output", instance]) == 0
-        spectral_calls = []
-        original = kfr.spectral.orthogonal_projection
-
-        def counting(*args):
-            spectral_calls.append(args[0])
-            return original(*args)
-
         self.forbid_projections(monkeypatch)
-        monkeypatch.setattr(kfr.spectral, "orthogonal_projection", counting)
-        assert main(["check", "--input", instance,
-                     "--output", str(tmp_path / "report.json")]) == 0
-        gram = kfr.io.build_instance_gram(kfr.io.parse_instance(instance))
-        blocks = SpectralReport(gram).family.subspaces
-        assert len(spectral_calls) == len(blocks)
-        for called, block in zip(spectral_calls, blocks):
-            assert np.array_equal(called.basis, block.basis)
+        for command in ("check", "spectral"):
+            assert main([command, "--input", instance,
+                         "--output", str(tmp_path / "report.json")]) == 0
 
 
 class TestJProjectionFactorOracle:
@@ -695,8 +725,8 @@ class TestTransport:
             (1.0, 1.0), (line(1.0, 0.0), line(1.0, 1.0))
         )
         scaled = transport_by_invertible(family, 2.0 * np.eye(2))
-        before = frame_bounds(family, np.eye(2))
-        after = frame_bounds(scaled, np.eye(2))
+        before = frame_bounds(family)
+        after = frame_bounds(scaled)
         assert after.lower == pytest.approx(before.lower, abs=1e-10)
         assert after.upper == pytest.approx(before.upper, abs=1e-10)
 
@@ -705,9 +735,9 @@ class TestTransport:
         rng = np.random.default_rng(seed)
         g = random_gram(rng, 6)
         family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
-        plain = frame_bounds(family, np.eye(6))
+        plain = frame_bounds(family)
         image = transport_by_invertible(family, g.inv_sqrt_abs)
-        companion = frame_bounds(image, g.abs_matrix, ORTHOGONAL)
+        companion = FrameGeometry(image, g).bounds(ORTHOGONAL)
         assert companion.lower == pytest.approx(plain.lower, rel=1e-8)
         assert companion.upper == pytest.approx(plain.upper, rel=1e-8)
 
@@ -719,8 +749,8 @@ class TestTransport:
             tuple(subspace_from_columns(rng.standard_normal((6, 2))) for _ in range(3)),
         )
         U = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
-        before = frame_bounds(family, np.eye(6))
-        after = frame_bounds(transport_by_invertible(family, U), np.eye(6))
+        before = frame_bounds(family)
+        after = frame_bounds(transport_by_invertible(family, U))
         assert before.is_frame == after.is_frame
 
     def test_singular_map_rejected(self):

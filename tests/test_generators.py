@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kfr.fusion import frame_bounds
+from kfr.fusion import FrameGeometry, frame_bounds
 from kfr.generators import (
     make_instance_payload,
     random_gram,
@@ -14,7 +14,6 @@ from kfr.io import build_instance_family, build_instance_gram, parse_instance_te
 from kfr.linalg import frobenius
 from kfr.subspaces import (
     J_ORTHOGONAL,
-    ORTHOGONAL,
     is_projectively_complete,
     spans_equal,
     subspace_from_columns,
@@ -93,8 +92,8 @@ class TestInstancePayloads:
         )
         gram = build_instance_gram(instance)
         family = build_instance_family(instance)
-        plain = frame_bounds(family, np.eye(6), ORTHOGONAL)
-        companion = frame_bounds(family, gram.abs_matrix, J_ORTHOGONAL, gram)
+        plain = frame_bounds(family)
+        companion = FrameGeometry(family, gram).bounds(J_ORTHOGONAL)
         assert plain.is_frame
         assert companion.is_frame
 
@@ -113,7 +112,7 @@ class TestInstancePayloads:
         )
         assert instance.dimension == 2
         family = build_instance_family(instance)
-        assert frame_bounds(family, np.eye(2), ORTHOGONAL).is_frame
+        assert frame_bounds(family).is_frame
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

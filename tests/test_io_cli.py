@@ -565,28 +565,29 @@ class TestCli:
     #: parsed member, and transfer's others come from
     #: ``transport_by_invertible``; the J-images and the companion blocks keep
     #: the bases they have. ``cholesky``: one per member and projection kind
-    #: of each bound. ``eigh`` and ``eigvalsh`` are the solves above that
-    #: reach LAPACK; the others take ``symmetric_eig``'s already-diagonal path.
-    #: ``solve``: one per member and kind of each bound (the J-kind's is the
-    #: member's kept ``K^{-1} (W B)^T``), one per spectral block for the
-    #: projection sum; check's 23 add two per member, with r right-hand
+    #: of each companion-metric bound; plain-metric bounds and the spectral
+    #: projection sum factor nothing. ``eigh`` and ``eigvalsh`` are the
+    #: solves above that reach LAPACK; the others take ``symmetric_eig``'s
+    #: already-diagonal path. ``solve``: one per member and kind of each
+    #: companion-metric bound (the J-kind's is the member's kept
+    #: ``K^{-1} (W B)^T``); check's 19 add two per member, with r right-hand
     #: sides, for the composed J-projection, whose direct one reads the
     #: J-block's solve.
     FACTORIZATIONS = {
         ("analyze", "--metric", "hilbert"):
-            {"eigh": 0, "eigvalsh": 1, "svd": 3, "cholesky": 3, "solve": 3},
+            {"eigh": 0, "eigvalsh": 1, "svd": 3, "cholesky": 0, "solve": 0},
         ("analyze", "--metric", "krein"):
             {"eigh": 4, "eigvalsh": 1, "svd": 3, "cholesky": 3, "solve": 3},
         ("equivalence",):
             {"eigh": 7, "eigvalsh": 4, "svd": 3, "cholesky": 12, "solve": 12},
         ("transfer",):
-            {"eigh": 5, "eigvalsh": 4, "svd": 15, "cholesky": 12, "solve": 12},
+            {"eigh": 5, "eigvalsh": 4, "svd": 15, "cholesky": 6, "solve": 6},
         ("sweep",):
-            {"eigh": 18, "eigvalsh": 13, "svd": 3, "cholesky": 21, "solve": 21},
+            {"eigh": 18, "eigvalsh": 13, "svd": 3, "cholesky": 18, "solve": 18},
         ("spectral",):
-            {"eigh": 1, "eigvalsh": 0, "svd": 0, "cholesky": 2, "solve": 3},
+            {"eigh": 1, "eigvalsh": 0, "svd": 0, "cholesky": 1, "solve": 1},
         ("check",):
-            {"eigh": 7, "eigvalsh": 5, "svd": 3, "cholesky": 16, "solve": 23},
+            {"eigh": 7, "eigvalsh": 5, "svd": 3, "cholesky": 13, "solve": 19},
     }
 
     @pytest.mark.parametrize(

@@ -14,14 +14,13 @@ from kfr.spectral import (
     ortho_basis_of_subspaces,
     spectral_representation,
 )
-from kfr.subspaces import J_ORTHOGONAL, ORTHOGONAL
+from kfr.subspaces import J_ORTHOGONAL
 from kfr.transfer import transfer_regular
 
 
 def test_pipeline_dimension_64():
     rng = np.random.default_rng(0)
     g = random_gram(rng, 64)
-    identity = np.eye(64)
     assert frobenius(g.symmetry @ g.abs_matrix - g.matrix) <= 1e-9
 
     family = random_invariant_family(g, rng, 8, 8, weight_range=(0.5, 2.0))
@@ -30,15 +29,10 @@ def test_pipeline_dimension_64():
     assert report.hilbert_bounds.is_frame
 
     representation = spectral_representation(g)
-    plain = frame_bounds(
-        ortho_basis_of_subspaces(representation), identity, ORTHOGONAL
-    )
+    plain = frame_bounds(ortho_basis_of_subspaces(representation))
     assert plain.is_parseval
-    companion = frame_bounds(
-        krein_decomposition(g, representation).family(),
-        g.abs_matrix,
-        J_ORTHOGONAL,
-        g,
+    companion = FrameGeometry(krein_decomposition(g, representation).family(), g).bounds(
+        J_ORTHOGONAL
     )
     assert abs(companion.lower - 1.0) <= 1e-8
     assert abs(companion.upper - 1.0) <= 1e-8
@@ -59,7 +53,7 @@ PUBLIC_NAMES = (
     "orthogonal_projection", "spans_equal", "subspace_from_columns",
     "FrameBounds", "FourWayReport", "LocalFrameReport", "LocalFrameSystem",
     "WeightedSubspaceFamily", "frame_bounds", "frame_operator",
-    "local_frames_to_fusion", "transport_by_invertible", "vector_frame_bounds",
+    "local_frames_to_fusion", "transport_by_invertible",
     "verify_four_way_equivalence",
     "RegularityError", "SweepResult", "TransferReport", "diagonal_gram_family",
     "singular_sweep", "transfer_map_hilbert_to_krein",
@@ -76,7 +70,7 @@ def test_public_names_are_importable_and_listed():
 
     assert len(set(kfr.__all__)) == len(kfr.__all__)
     assert set(PUBLIC_NAMES) <= set(kfr.__all__)
-    assert "analysis_operator" in kfr.__all__
+    assert not {"analysis_operator", "vector_frame_bounds"} & set(kfr.__all__)
     for name in kfr.__all__:
         assert not isinstance(getattr(kfr, name), types.ModuleType), name
     namespace = {}
@@ -140,4 +134,37 @@ def test_only_linalg_calls_an_eigensolver():
                 for alias in node.names:
                     if alias.name in EIGENSOLVERS:
                         offenders.append(f"{path.name}:{node.lineno} import {alias.name}")
+    assert offenders == []
+
+
+#: The (d, d) projection constructors. Only ``kfr.subspaces`` may reference
+#: them, where tests use them as references; the package ``__init__`` may
+#: re-export them. So no command forms a (d, d) projection.
+DENSE_PROJECTIONS = {
+    "orthogonal_projection",
+    "j_projection_from_check",
+    "composed_projection_from_check",
+}
+
+
+def test_only_subspaces_references_a_dense_projection():
+    import kfr
+
+    package = Path(kfr.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "subspaces.py" and path.parent == package:
+            continue
+        reexports = path.name == "__init__.py" and path.parent == package
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and not reexports:
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            for name in sorted(names & DENSE_PROJECTIONS):
+                offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []

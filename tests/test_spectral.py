@@ -13,7 +13,7 @@ from kfr.spectral import (
     ortho_basis_of_subspaces,
     spectral_representation,
 )
-from kfr.subspaces import J_ORTHOGONAL, ORTHOGONAL, Subspace, orthogonal_projection, spans_equal, subspace_from_columns
+from kfr.subspaces import J_ORTHOGONAL, Subspace, orthogonal_projection, spans_equal, subspace_from_columns
 
 
 def planted_gram(seed, values):
@@ -125,14 +125,14 @@ class TestOrthoBasisOfSubspaces:
         g = build_gram(np.diag([2.0, 2.0, -1.0]))
         family = ortho_basis_of_subspaces(spectral_representation(g))
         assert len(family) == 2
-        bounds = frame_bounds(family, np.eye(3))
+        bounds = frame_bounds(family)
         assert bounds.is_parseval
 
     def test_identity(self):
         g = build_gram(np.eye(4))
         family = ortho_basis_of_subspaces(spectral_representation(g))
         assert len(family) == 4
-        assert frame_bounds(family, np.eye(4)).is_parseval
+        assert frame_bounds(family).is_parseval
 
     @pytest.mark.parametrize("seed", range(5))
     def test_projections_sum_to_identity(self, seed):
@@ -142,7 +142,7 @@ class TestOrthoBasisOfSubspaces:
             orthogonal_projection(s, np.eye(6)) for s in family.subspaces
         )
         assert frobenius(total - np.eye(6)) <= 1e-9
-        assert frame_bounds(family, np.eye(6)).is_parseval
+        assert frame_bounds(family).is_parseval
 
 
 class TestKreinDecomposition:
@@ -178,9 +178,7 @@ class TestKreinDecomposition:
     def test_parseval_under_indefinite_form(self, seed):
         g = planted_gram(300 + seed, [2.0, 2.0, -1.0, -1.0, 3.0, 0.5])
         deco = krein_decomposition(g, spectral_representation(g))
-        bounds = frame_bounds(
-            deco.family(), g.abs_matrix, J_ORTHOGONAL, g
-        )
+        bounds = FrameGeometry(deco.family(), g).bounds(J_ORTHOGONAL)
         assert bounds.lower == pytest.approx(1.0, abs=1e-8)
         assert bounds.upper == pytest.approx(1.0, abs=1e-8)
 
@@ -236,7 +234,7 @@ class TestKreinDecomposition:
         for eps in (1e-1, 1e-3, 1e-6):
             g = build_gram(np.diag([1.0, 1.0, eps]))
             deco = krein_decomposition(g, spectral_representation(g))
-            bounds = frame_bounds(deco.family(), g.abs_matrix, J_ORTHOGONAL, g)
+            bounds = FrameGeometry(deco.family(), g).bounds(J_ORTHOGONAL)
             assert bounds.lower == pytest.approx(1.0, abs=1e-8)
             assert bounds.upper == pytest.approx(1.0, abs=1e-8)
 
@@ -288,7 +286,7 @@ class TestLevelBasisInvariance:
 
     @staticmethod
     def bounds(family, gram):
-        plain = frame_bounds(family, np.eye(gram.dim), ORTHOGONAL)
+        plain = frame_bounds(family)
         krein = FrameGeometry(family, gram).bounds(J_ORTHOGONAL)
         return plain, krein
 

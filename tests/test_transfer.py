@@ -92,8 +92,8 @@ class TestTransferMaps:
         family = WeightedSubspaceFamily((1.0,), (line(1.0, 1.0),))
         image = transfer_map_hilbert_to_krein(family, g)
         assert spans_equal(image.subspaces[0], line(1.0 / 2.0, 1.0 / 3.0))
-        before = frame_bounds(family, np.eye(2))
-        after = frame_bounds(image, g.abs_matrix, J_ORTHOGONAL, g)
+        before = frame_bounds(family)
+        after = FrameGeometry(image, g).bounds(J_ORTHOGONAL)
         assert after.lower == pytest.approx(before.lower, abs=1e-10)
         assert after.upper == pytest.approx(before.upper, abs=1e-10)
 
@@ -102,15 +102,15 @@ class TestTransferMaps:
         rng = np.random.default_rng(seed)
         g = random_gram(rng, 6)
         family = random_invariant_family(g, rng, 3, 2, weight_range=(0.5, 2.0))
-        hilbert = frame_bounds(family, np.eye(6))
+        hilbert = frame_bounds(family)
         forward = transfer_map_hilbert_to_krein(family, g)
-        image_bounds = frame_bounds(forward, g.abs_matrix, J_ORTHOGONAL, g)
+        image_bounds = FrameGeometry(forward, g).bounds(J_ORTHOGONAL)
         assert image_bounds.lower == pytest.approx(hilbert.lower, rel=1e-8)
         assert image_bounds.upper == pytest.approx(hilbert.upper, rel=1e-8)
 
-        krein = frame_bounds(family, g.abs_matrix, J_ORTHOGONAL, g)
+        krein = FrameGeometry(family, g).bounds(J_ORTHOGONAL)
         backward = transfer_map_krein_to_hilbert(family, g)
-        back_bounds = frame_bounds(backward, np.eye(6))
+        back_bounds = frame_bounds(backward)
         assert back_bounds.lower == pytest.approx(krein.lower, rel=1e-8)
         assert back_bounds.upper == pytest.approx(krein.upper, rel=1e-8)
 
