@@ -11,7 +11,7 @@ companion-geometry counterpart. A deterministic CLI (``kfr``) exposes
 the analyses over JSON instance files.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from types import ModuleType as _ModuleType
 
@@ -24,7 +24,6 @@ from .fusion import (
     LocalFrameSystem,
     WeightedSubspaceFamily,
     frame_bounds,
-    frame_operator,
     local_frames_to_fusion,
     transport_by_invertible,
     verify_four_way_equivalence,
@@ -36,18 +35,14 @@ from .krein import (
     PolarReport,
     RegularityReport,
     build_gram,
-    j_inner,
-    j_norm,
     norm_equivalence_constants,
     norm_equivalence_holds,
     verify_polar_identities,
-    w_inner,
 )
 from .linalg import (
     ConvergenceError,
     EigenDecomposition,
     MetricError,
-    extremal_rayleigh,
     orthonormalize,
     symmetric_eig,
 )
@@ -61,16 +56,9 @@ from .spectral import (
     spectral_representation,
 )
 from .subspaces import (
-    ComposedProjectionError,
     DegenerateSubspaceError,
     Subspace,
-    check_j_orthonormal,
     is_projectively_complete,
-    j_orthogonal_complement,
-    j_orthogonal_projection_composed,
-    j_orthogonal_projection_gram,
-    j_orthonormal_basis,
-    orthogonal_projection,
     spans_equal,
     subspace_from_columns,
 )

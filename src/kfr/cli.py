@@ -195,12 +195,13 @@ def run_transfer(instance: ProblemInstance, args) -> tuple[dict, int]:
 def _sweep_epsilons(instance: ProblemInstance, args) -> list[float]:
     if args.epsilons is None:
         return list(instance.options.sweep_epsilons)
+    pieces = args.epsilons.split(",")
+    if "" in pieces:
+        raise InstanceValidationError(f"--epsilons item {pieces.index('')} is empty")
     try:
-        values = [float(piece) for piece in args.epsilons.split(",") if piece]
+        values = [float(piece) for piece in pieces]
     except ValueError as exc:
         raise InstanceValidationError(f"--epsilons must be numbers: {exc}") from exc
-    if not values:
-        raise InstanceValidationError("--epsilons must be a nonempty list")
     if not all(map(math.isfinite, values)):
         raise InstanceValidationError("--epsilons must be finite")
     return values

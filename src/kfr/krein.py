@@ -11,7 +11,6 @@ near-singular by the relative size of its smallest eigenvalue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +30,6 @@ __all__ = [
     "RegularityReport",
     "GramOperator",
     "build_gram",
-    "w_inner",
-    "j_inner",
-    "j_norm",
     "norm_equivalence_constants",
     "PolarReport",
     "verify_polar_identities",
@@ -151,34 +147,6 @@ def build_gram(
         inv_sqrt_abs=eig.assemble(1.0 / root),
         regularity=report,
     )
-
-
-def _check_vector(gram: GramOperator, x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (gram.dim,):
-        raise ValueError(
-            f"{name} has shape {v.shape}, expected ({gram.dim},)"
-        )
-    return v
-
-
-def w_inner(gram: GramOperator, x, y) -> float:
-    """Indefinite inner product ``[x, y] = <Wx, y>``."""
-    vx = _check_vector(gram, x, "x")
-    vy = _check_vector(gram, y, "y")
-    return float(vy @ (gram.matrix @ vx))
-
-
-def j_inner(gram: GramOperator, x, y) -> float:
-    """Positive definite companion product ``[x, y]_J = <|W|x, y>``."""
-    vx = _check_vector(gram, x, "x")
-    vy = _check_vector(gram, y, "y")
-    return float(vy @ (gram.abs_matrix @ vx))
-
-
-def j_norm(gram: GramOperator, x) -> float:
-    """Norm induced by the companion product."""
-    return math.sqrt(max(j_inner(gram, x, x), 0.0))
 
 
 def norm_equivalence_constants(gram: GramOperator) -> tuple[float, float]:

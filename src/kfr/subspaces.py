@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import GramOperator, w_inner
+from .krein import GramOperator
 from .linalg import (
-    EigenDecomposition,
     MetricError,
     _freeze,
     frobenius,
@@ -47,14 +46,9 @@ __all__ = [
     "subspace_from_columns",
     "spans_equal",
     "orthogonal_projection",
-    "j_projection_from_check",
     "j_orthogonal_projection_gram",
-    "composed_projection_from_check",
     "j_orthogonal_projection_composed",
-    "j_orthogonal_complement",
     "is_projectively_complete",
-    "check_j_orthonormal",
-    "j_orthonormal_basis",
 ]
 
 #: Relative magnitude floor for the compressed form B^T W B; below it the
@@ -69,9 +63,6 @@ SPAN_TOL = 1e-8
 
 #: Frobenius residual of ``B^T B = I`` up to which a basis is orthonormal.
 ORTHONORMALITY_TOL = 1e-10
-
-#: Residual of ``[e_i, e_j] = +-delta_ij``, at the projection identities' scale.
-J_ORTHONORMALITY_TOL = PROJECTION_IDENTITY_TOL
 
 ORTHOGONAL = "orthogonal"
 J_ORTHOGONAL = "j-orthogonal"
@@ -179,8 +170,8 @@ class CompletenessCheck:
     """Outcome of the projective completeness test.
 
     False outcomes carry a ``witness``: a unit vector of the subspace with
-    near-zero indefinite self-product. The compressed form ``B^T W B`` and
-    its eigendecomposition are kept for the J-constructions.
+    near-zero indefinite self-product. The compressed form ``B^T W B`` is
+    kept for the J-constructions.
     """
 
     complete: bool
@@ -188,7 +179,6 @@ class CompletenessCheck:
     largest: float
     witness: np.ndarray | None
     compressed: np.ndarray | None = None
-    eig: EigenDecomposition | None = None
 
     def __post_init__(self):
         if self.compressed is not None:
@@ -222,7 +212,7 @@ def is_projectively_complete(
     witness = None
     if not complete:
         witness = B @ eig.eigenvectors[:, int(np.argmin(magnitudes))]
-    return CompletenessCheck(complete, smallest, largest, witness, compressed, eig)
+    return CompletenessCheck(complete, smallest, largest, witness, compressed)
 
 
 def _require_complete(check: CompletenessCheck):
@@ -234,18 +224,6 @@ def _require_complete(check: CompletenessCheck):
         )
 
 
-def j_projection_from_check(
-    subspace: Subspace, gram: GramOperator, check: CompletenessCheck
-) -> np.ndarray:
-    """:func:`j_orthogonal_projection_gram` from the subspace's ``check``."""
-    if subspace.dim == 0:
-        return _freeze(np.zeros((gram.dim, gram.dim)))
-    _require_complete(check)
-    B = subspace.basis
-    solved = np.linalg.solve(check.compressed, B.T @ gram.matrix)
-    return _freeze(B @ solved)
-
-
 def j_orthogonal_projection_gram(subspace: Subspace, gram: GramOperator) -> np.ndarray:
     """J-orthogonal projection by the direct formula ``B (B^T W B)^{-1} B^T W``.
 
@@ -254,15 +232,28 @@ def j_orthogonal_projection_gram(subspace: Subspace, gram: GramOperator) -> np.n
     exist.
     """
     check = is_projectively_complete(subspace, gram)
-    return j_projection_from_check(subspace, gram, check)
-
-
-def composed_projection_from_check(
-    subspace: Subspace, gram: GramOperator, check: CompletenessCheck
-) -> np.ndarray:
-    """:func:`j_orthogonal_projection_composed` from the subspace's ``check``;
-    ``J`` is orthogonal, so ``J B`` is an orthonormal basis of the J-image."""
+    if subspace.dim == 0:
+        return _freeze(np.zeros((gram.dim, gram.dim)))
     _require_complete(check)
+    B = subspace.basis
+    solved = np.linalg.solve(check.compressed, B.T @ gram.matrix)
+    return _freeze(B @ solved)
+
+
+def j_orthogonal_projection_composed(
+    subspace: Subspace, gram: GramOperator
+) -> np.ndarray:
+    """J-orthogonal projection as the product of two metric projections.
+
+    Forms ``P_V P_{JV}`` with both factors orthogonal under the companion
+    metric ``|W|``; ``J`` is orthogonal, so ``J B`` is an orthonormal basis
+    of the J-image. The product is a J-orthogonal projection exactly when
+    the subspace is invariant under the fundamental symmetry; the result
+    is validated against the projection identities and rejected otherwise,
+    so a caller can never mistake the composition for a projection it is
+    not.
+    """
+    _require_complete(is_projectively_complete(subspace, gram))
     metric = gram.abs_matrix
     p_v = orthogonal_projection(subspace, metric)
     mapped = Subspace(gram.symmetry @ subspace.basis)
@@ -284,73 +275,3 @@ def composed_projection_from_check(
             residuals=residuals,
         )
     return _freeze(Q)
-
-
-def j_orthogonal_projection_composed(
-    subspace: Subspace, gram: GramOperator
-) -> np.ndarray:
-    """J-orthogonal projection as the product of two metric projections.
-
-    Forms ``P_V P_{JV}`` with both factors orthogonal under the companion
-    metric ``|W|``. The product is a J-orthogonal projection exactly when
-    the subspace is invariant under the fundamental symmetry; the result
-    is validated against the projection identities and rejected otherwise,
-    so a caller can never mistake the composition for a projection it is
-    not.
-    """
-    check = is_projectively_complete(subspace, gram)
-    return composed_projection_from_check(subspace, gram, check)
-
-
-def j_orthogonal_complement(subspace: Subspace, gram: GramOperator) -> Subspace:
-    """Complement with respect to the indefinite form.
-
-    Equals ``J`` applied to the orthogonal complement taken in the
-    associated Hilbert space, i.e. under the companion metric ``|W|``:
-    for ``z`` with ``<|W|z, v> = 0`` on the subspace, ``[v, Jz] =
-    z^T |W| v = 0``. The result has complementary dimension and is
-    W-orthogonal to the input.
-    """
-    _check_ambient(subspace, gram.dim)
-    d, r = gram.dim, subspace.dim
-    if r == 0:
-        return Subspace(np.eye(d))
-    if r == d:
-        return Subspace(np.zeros((d, 0)))
-    # companion complement = plain complement of the span of |W| B
-    full, _, _ = np.linalg.svd(gram.abs_matrix @ subspace.basis, full_matrices=True)
-    companion_complement = full[:, r:]
-    return Subspace(gram.symmetry @ companion_complement)
-
-
-def check_j_orthonormal(vectors, gram: GramOperator) -> bool:
-    """Whether vectors pairwise satisfy ``[e_i, e_j] = +-delta_ij``.
-
-    Off-diagonal products must vanish to ``J_ORTHONORMALITY_TOL`` and
-    self-products must have magnitude within it of one.
-    """
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    for i, vi in enumerate(vecs):
-        for j, vj in enumerate(vecs):
-            value = w_inner(gram, vi, vj)
-            if i == j:
-                if abs(abs(value) - 1.0) > J_ORTHONORMALITY_TOL:
-                    return False
-            elif abs(value) > J_ORTHONORMALITY_TOL:
-                return False
-    return True
-
-
-def j_orthonormal_basis(subspace: Subspace, gram: GramOperator) -> np.ndarray:
-    """Basis of the subspace with ``[b_i, b_j] = +-delta_ij``.
-
-    Diagonalizes the compressed form and rescales by inverse square roots
-    of the eigenvalue magnitudes; exists exactly for projectively complete
-    subspaces.
-    """
-    check = is_projectively_complete(subspace, gram)
-    if subspace.dim == 0:
-        return np.zeros((gram.dim, 0))
-    _require_complete(check)
-    scaling = 1.0 / np.sqrt(np.abs(check.eig.eigenvalues))
-    return subspace.basis @ (check.eig.eigenvectors * scaling)

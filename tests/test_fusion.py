@@ -40,9 +40,8 @@ from kfr.subspaces import (
     ComposedProjectionError,
     DegenerateSubspaceError,
     Subspace,
-    composed_projection_from_check,
+    j_orthogonal_projection_composed,
     j_orthogonal_projection_gram,
-    j_projection_from_check,
     orthogonal_projection,
     subspace_from_columns,
 )
@@ -435,8 +434,6 @@ class TestNoProjectionInBounds:
     PROJECTIONS = (
         "orthogonal_projection",
         "j_orthogonal_projection_gram",
-        "j_projection_from_check",
-        "composed_projection_from_check",
         "j_orthogonal_projection_composed",
     )
 
@@ -504,9 +501,15 @@ class TestJProjectionFactorOracle:
     """The factored projection check against the (d, d) constructors."""
 
     @staticmethod
-    def dense_residuals(subspace, g, check):
+    def dense(constructor, subspace, g, check):
+        # the (d, d) constructor, fed the geometry's own (possibly planted) check
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kfr.subspaces, "is_projectively_complete", lambda *_: check)
+            return constructor(subspace, g)
+
+    def dense_residuals(self, subspace, g, check):
         W, G, B = g.matrix, g.abs_matrix, subspace.basis
-        Q = j_projection_from_check(subspace, g, check)
+        Q = self.dense(j_orthogonal_projection_gram, subspace, g, check)
         C = orthogonal_projection(subspace, G) @ orthogonal_projection(
             Subspace(g.symmetry @ B), G
         )
@@ -524,8 +527,7 @@ class TestJProjectionFactorOracle:
             cross_check=frobenius(C - Q),
         )
 
-    @staticmethod
-    def dense_report(geometry):
+    def dense_report(self, geometry):
         # the check as it read the (d, d) projections
         g = geometry.gram
         identities = cross = True
@@ -533,7 +535,7 @@ class TestJProjectionFactorOracle:
         for index, (subspace, check) in enumerate(
             zip(geometry.family.subspaces, geometry.checks)
         ):
-            Q = j_projection_from_check(subspace, g, check)
+            Q = self.dense(j_orthogonal_projection_gram, subspace, g, check)
             scale = max(1.0, frobenius(Q))
             if (
                 frobenius(Q @ Q - Q) > PROJECTION_IDENTITY_TOL * scale
@@ -541,7 +543,9 @@ class TestJProjectionFactorOracle:
             ):
                 identities = False
             try:
-                composed = composed_projection_from_check(subspace, g, check)
+                composed = self.dense(
+                    j_orthogonal_projection_composed, subspace, g, check
+                )
             except ComposedProjectionError:
                 notes.append(
                     f"subspace {index}: composed construction not applicable "

@@ -275,6 +275,20 @@ class TestCli:
         assert main(["sweep", "--input", path, "--epsilons", flag]) == 1
         assert "--epsilons must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, position",
+        [
+            (",1e-1,1e-2,1e-3,1e-4", 0),
+            ("1e-1,,1e-2,1e-3,1e-4", 1),
+            ("1e-1,1e-2,1e-3,1e-4,", 4),
+            ("", 0),
+        ],
+    )
+    def test_sweep_rejects_empty_epsilons_item(self, tmp_path, capsys, flag, position):
+        path = write_instance(tmp_path, minimal_payload())
+        assert main(["sweep", "--input", path, "--epsilons", flag]) == 1
+        assert f"kfr: --epsilons item {position} is empty" in capsys.readouterr().err
+
     def test_sweep_custom_family_file(self, tmp_path, capsys):
         instance_path = write_instance(tmp_path, minimal_payload())
         members = []

@@ -38,21 +38,18 @@ def test_pipeline_dimension_64():
     assert abs(companion.upper - 1.0) <= 1e-8
 
 
-#: The package's public names before ``kfr.__all__`` was derived from its
-#: imports; every one must stay importable from ``kfr`` and listed.
+#: The package's public names: what the CLI and the acceptance criteria
+#: read. Every one must stay importable from ``kfr`` and listed.
 PUBLIC_NAMES = (
     "__version__",
     "ConvergenceError", "EigenDecomposition", "MetricError",
-    "extremal_rayleigh", "orthonormalize", "symmetric_eig",
-    "GramOperator", "KernelError", "RegularityReport", "build_gram", "j_inner",
-    "j_norm", "norm_equivalence_constants", "w_inner",
-    "ComposedProjectionError", "DegenerateSubspaceError", "Subspace",
-    "check_j_orthonormal", "is_projectively_complete",
-    "j_orthogonal_complement", "j_orthogonal_projection_composed",
-    "j_orthogonal_projection_gram", "j_orthonormal_basis",
-    "orthogonal_projection", "spans_equal", "subspace_from_columns",
+    "orthonormalize", "symmetric_eig",
+    "GramOperator", "KernelError", "RegularityReport", "build_gram",
+    "norm_equivalence_constants",
+    "DegenerateSubspaceError", "Subspace", "is_projectively_complete",
+    "spans_equal", "subspace_from_columns",
     "FrameBounds", "FourWayReport", "LocalFrameReport", "LocalFrameSystem",
-    "WeightedSubspaceFamily", "frame_bounds", "frame_operator",
+    "WeightedSubspaceFamily", "frame_bounds",
     "local_frames_to_fusion", "transport_by_invertible",
     "verify_four_way_equivalence",
     "RegularityError", "SweepResult", "TransferReport", "diagonal_gram_family",
@@ -62,20 +59,53 @@ PUBLIC_NAMES = (
     "krein_decomposition", "ortho_basis_of_subspaces", "spectral_representation",
 )
 
+#: Names deleted from the library, by the module that held them.
+DELETED_NAMES = {
+    "krein": ("w_inner", "j_inner", "j_norm", "_check_vector"),
+    "subspaces": (
+        "j_orthogonal_complement", "check_j_orthonormal", "j_orthonormal_basis",
+        "J_ORTHONORMALITY_TOL", "j_projection_from_check",
+        "composed_projection_from_check",
+    ),
+    "fusion": ("analysis_operator", "vector_frame_bounds"),
+}
+
+#: Names the package no longer re-exports, by the module that keeps them.
+MODULE_ONLY_NAMES = {
+    "subspaces": (
+        "orthogonal_projection", "j_orthogonal_projection_gram",
+        "j_orthogonal_projection_composed", "ComposedProjectionError",
+    ),
+    "linalg": ("extremal_rayleigh",),
+    "fusion": ("frame_operator",),
+}
+
 
 def test_public_names_are_importable_and_listed():
+    import importlib
     import types
 
     import kfr
 
     assert len(set(kfr.__all__)) == len(kfr.__all__)
     assert set(PUBLIC_NAMES) <= set(kfr.__all__)
-    assert not {"analysis_operator", "vector_frame_bounds"} & set(kfr.__all__)
     for name in kfr.__all__:
         assert not isinstance(getattr(kfr, name), types.ModuleType), name
     namespace = {}
     exec("from kfr import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
+    for module, names in DELETED_NAMES.items():
+        owner = importlib.import_module(f"kfr.{module}")
+        for name in names:
+            assert not hasattr(kfr, name), name
+            assert not hasattr(owner, name), f"kfr.{module}.{name}"
+    for module, names in MODULE_ONLY_NAMES.items():
+        owner = importlib.import_module(f"kfr.{module}")
+        for name in names:
+            assert name not in kfr.__all__, name
+            assert name in owner.__all__, f"kfr.{module}.{name}"
+    assert not hasattr(kfr.subspaces.CompletenessCheck, "eig")
+    assert "eig" not in kfr.subspaces.CompletenessCheck.__dataclass_fields__
 
 
 def test_version_is_defined_once_in_the_package():
@@ -138,12 +168,12 @@ def test_only_linalg_calls_an_eigensolver():
 
 
 #: The (d, d) projection constructors. Only ``kfr.subspaces`` may reference
-#: them, where tests use them as references; the package ``__init__`` may
-#: re-export them. So no command forms a (d, d) projection.
+#: them, where tests use them as references. So no command forms a (d, d)
+#: projection.
 DENSE_PROJECTIONS = {
     "orthogonal_projection",
-    "j_projection_from_check",
-    "composed_projection_from_check",
+    "j_orthogonal_projection_gram",
+    "j_orthogonal_projection_composed",
 }
 
 
@@ -155,9 +185,8 @@ def test_only_subspaces_references_a_dense_projection():
     for path in sorted(package.rglob("*.py")):
         if path.name == "subspaces.py" and path.parent == package:
             continue
-        reexports = path.name == "__init__.py" and path.parent == package
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and not reexports:
+            if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Name):
                 names = {node.id}
