@@ -11,7 +11,7 @@ companion-geometry counterpart. A deterministic CLI (``kfr``) exposes
 the analyses over JSON instance files.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from types import ModuleType as _ModuleType
 

@@ -141,13 +141,13 @@ def classify_bounds(
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
 
 
-def _block(weight: float, subspace: Subspace, G: np.ndarray, j_factor=None):
-    """Rows ``x L^T B^T P`` with ``L L^T = B^T G B``, from r x r factors only:
-    ``x L^{-1} (G B)^T`` for the metric-orthogonal ``P``; given the member's
-    ``j_factor`` ``K^{-1} (W B)^T``, ``x L^T K^{-1} (W B)^T`` for the
-    J-orthogonal one."""
+def _block(weight: float, subspace: Subspace, gram: GramOperator, j_factor=None):
+    """Rows ``x L^T B^T P`` with ``L L^T = B^T G B`` for ``G = |W|``, from
+    r x r factors only: ``x L^{-1} (G B)^T`` for the metric-orthogonal ``P``;
+    given the member's ``j_factor`` ``K^{-1} (W B)^T``, ``x L^T K^{-1}
+    (W B)^T`` for the J-orthogonal one."""
     B = subspace.basis
-    GB = G @ B
+    GB = gram.times("abs_matrix", B)
     root = np.linalg.cholesky(symmetrize(B.T @ GB))
     if j_factor is None:
         return weight * np.linalg.solve(root, GB.T)
@@ -242,7 +242,7 @@ class FrameGeometry:
             _require_complete(check)
             B = self.family.subspaces[index].basis
             self._j_factors[index] = np.linalg.solve(
-                check.compressed, (self.gram.matrix @ B).T
+                check.compressed, self.gram.times("matrix", B).T
             )
         return self._j_factors[index]
 
@@ -251,7 +251,8 @@ class FrameGeometry:
         so each ``J B_i`` is orthonormal), same weights. It is not kept: its
         factors would outlive the one check that reads them."""
         images = tuple(
-            Subspace(self.gram.symmetry @ s.basis) for s in self.family.subspaces
+            Subspace(self.gram.times("symmetry", s.basis))
+            for s in self.family.subspaces
         )
         return FrameGeometry(
             WeightedSubspaceFamily(self.family.weights, images), self.gram
@@ -269,10 +270,9 @@ class FrameGeometry:
                 j_factors = map(self.j_factor, range(len(self.family)))
             else:
                 raise ValueError(f"unknown projection kind {kind!r}")
-            G = self.gram.abs_matrix
             members = zip(self.family.weights, self.family.subspaces, j_factors)
             self._operators[kind] = np.vstack([
-                _block(weight, subspace, G, j_factor)
+                _block(weight, subspace, self.gram, j_factor)
                 for weight, subspace, j_factor in members
             ])
         return self._operators[kind]
@@ -280,7 +280,9 @@ class FrameGeometry:
     def extremes(self, kind: str) -> tuple[float, float]:
         """Extreme eigenvalues of ``F^T F`` for ``F = A |W|^{-1/2}``."""
         if kind not in self._extremes:
-            whitened = self.analysis_operator(kind) @ self.gram.inv_sqrt_abs
+            whitened = self.gram.times(
+                "inv_sqrt_abs", self.analysis_operator(kind), right=True
+            )
             self._extremes[kind] = _extreme_eigenvalues(whitened)
         return self._extremes[kind]
 
@@ -292,12 +294,12 @@ class FrameGeometry:
         """Member ``index``'s residuals that :meth:`verify_j_projections` reads,
         from the ``(r, d)`` factors it describes. A degenerate member raises."""
         gram = self.gram
-        W, G = gram.matrix, gram.abs_matrix
         B = self.family.subspaces[index].basis
-        WB = W @ B
+        WB = gram.times("matrix", B)
         N = self.j_factor(index)
-        JB = gram.symmetry @ B
-        BtG, JBtG = B.T @ G, JB.T @ G
+        JB = gram.times("symmetry", B)
+        BtG = gram.times("abs_matrix", B.T, right=True)
+        JBtG = gram.times("abs_matrix", JB.T, right=True)
         # T = M_V (J B) M_{JV}, grouped so that both solves take r columns
         left = np.linalg.solve(symmetrize(BtG @ B), BtG @ JB)
         T = np.linalg.solve(symmetrize(JBtG @ JB), left.T).T @ JBtG
@@ -312,7 +314,7 @@ class FrameGeometry:
                 "idempotency": frobenius(TB @ T - T) / composed_scale,
                 "fixes_subspace": frobenius(TB - np.eye(len(TB))),
                 "w_self_adjoint": _skew_norm(WB @ T)
-                / max(1.0, frobenius(W) * composed_scale),
+                / max(1.0, frobenius(gram.matrix) * composed_scale),
             },
             cross_check=frobenius(T - N),
         )
@@ -366,7 +368,7 @@ class FrameGeometry:
         A = self.analysis_operator(J_ORTHOGONAL)
         bounds = self.bounds(J_ORTHOGONAL)
         values = np.sum((samples @ A.T) ** 2, axis=1) / np.sum(
-            (samples @ self.gram.abs_matrix) * samples, axis=1
+            self.gram.times("abs_matrix", samples, right=True) * samples, axis=1
         )
         lower, upper = bounds.lower - DEFINITION_SLACK, bounds.upper + DEFINITION_SLACK
         return bool(np.all((lower <= values) & (values <= upper)))
@@ -557,7 +559,7 @@ def local_frames_to_fusion(
     vector_rows, basis_rows = [], []
     for index, (block, weight) in enumerate(zip(system.blocks, system.weights)):
         # whitened vectors |W|^{1/2} f_j, measured in coordinates of their span
-        whitened = gram.sqrt_abs @ block
+        whitened = gram.times("sqrt_abs", block)
         coords = orthonormalize(whitened)
         if coords.shape[1] == 0:
             raise ValueError(f"block {index} spans nothing")
@@ -613,7 +615,13 @@ def transport_by_invertible(
             "operator is numerically singular: singular values span "
             f"[{singular_values[-1]:.3e}, {singular_values[0]:.3e}]"
         )
-    transported = tuple(
-        Subspace(orthonormalize(U @ s.basis)) for s in family.subspaces
+    return _transport(family, lambda basis: U @ basis)
+
+
+def _transport(family: WeightedSubspaceFamily, image) -> WeightedSubspaceFamily:
+    """Replace every subspace by the orthonormalized ``image`` of its basis,
+    with the weights unchanged; ``image`` maps a ``(d, r)`` block to one."""
+    return WeightedSubspaceFamily(
+        family.weights,
+        tuple(Subspace(orthonormalize(image(s.basis))) for s in family.subspaces),
     )
-    return WeightedSubspaceFamily(family.weights, transported)

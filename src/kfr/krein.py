@@ -7,11 +7,16 @@ fundamental symmetry ``J`` and the positive definite companion form
 builds all polar factors once, caches them on an immutable
 :class:`GramOperator` and classifies the operator as regular or
 near-singular by the relative size of its smallest eigenvalue.
+
+When ``W`` is diagonal it acts by multiplication, as on the paper's
+``L^2(sigma(W), x d mu_n)``, and so do its polar factors: they are built
+as diagonals, and :meth:`GramOperator.times` applies each of them as a row
+or column scaling instead of a dense product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,9 +58,18 @@ NORM_EQUIVALENCE_SLACK = 1e-9
 REGULAR = "regular"
 NEAR_SINGULAR = "near-singular"
 
+#: The ``(d, d)`` fields of a :class:`GramOperator`: ``W`` and its four polar
+#: factors.
+FACTORS = ("matrix", "symmetry", "abs_matrix", "sqrt_abs", "inv_sqrt_abs")
+
 
 class KernelError(Exception):
     """Raised when a Gram matrix has a numerically nontrivial kernel."""
+
+
+def _is_diagonal(matrix: np.ndarray) -> bool:
+    """Whether no off-diagonal entry is nonzero (NaN counts as nonzero)."""
+    return np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,11 @@ class GramOperator:
     Fields hold ``W`` itself, its eigendecomposition, the fundamental
     symmetry ``J``, ``|W|``, ``|W|^{1/2}``, ``|W|^{-1/2}`` and the
     regularity report. Instances are immutable and safe to share.
+
+    ``diagonal`` says whether all five ``(d, d)`` matrices have no nonzero
+    off-diagonal entry. It is read from the stored matrices on every
+    construction, ``dataclasses.replace`` included, so it always describes
+    the factors that :meth:`times` applies.
     """
 
     matrix: np.ndarray
@@ -89,10 +108,13 @@ class GramOperator:
     sqrt_abs: np.ndarray
     inv_sqrt_abs: np.ndarray
     regularity: RegularityReport
+    diagonal: bool = field(init=False)
 
     def __post_init__(self):
-        for field in ("matrix", "symmetry", "abs_matrix", "sqrt_abs", "inv_sqrt_abs"):
-            getattr(self, field).flags.writeable = False
+        factors = [getattr(self, name) for name in FACTORS]
+        for factor in factors:
+            factor.flags.writeable = False
+        object.__setattr__(self, "diagonal", all(map(_is_diagonal, factors)))
 
     @property
     def dim(self) -> int:
@@ -106,6 +128,22 @@ class GramOperator:
     def is_regular(self) -> bool:
         return self.regularity.classification == REGULAR
 
+    def times(self, factor: str, X: np.ndarray, *, right: bool = False) -> np.ndarray:
+        """``F @ X``, or ``X @ F`` with ``right``, for a 2-d ``X`` and the
+        matrix ``F`` stored in the field named ``factor`` (one of
+        :data:`FACTORS`).
+
+        On a diagonal operator this scales the rows (columns) of ``X`` by
+        ``F``'s diagonal. Each entry of the dense product is then that one
+        scaled entry plus exact zeros, so the values are the same bits; only
+        the sign of a zero may differ.
+        """
+        F = getattr(self, factor)
+        if not self.diagonal:
+            return X @ F if right else F @ X
+        scale = F.diagonal()
+        return X * scale if right else scale[:, None] * X
+
 
 def build_gram(
     matrix, epsilon_threshold: float = EPSILON_THRESHOLD
@@ -113,11 +151,13 @@ def build_gram(
     """Construct a :class:`GramOperator` from a symmetric matrix.
 
     The polar factors come from one eigendecomposition: ``J`` applies the
-    sign function on the spectrum, ``|W|`` the absolute value. A relative
-    eigenvalue magnitude at or below ``KERNEL_TOL`` is a kernel violation and
-    raises :class:`KernelError`; a ratio below ``epsilon_threshold`` is
-    classified near-singular with ``epsilon`` equal to the smallest
-    magnitude.
+    sign function on the spectrum, ``|W|`` the absolute value. A diagonal
+    ``W`` has permuted unit eigenvectors, so each factor is the diagonal
+    matrix of its map on ``W``'s diagonal, the bits assembling it would
+    give, and no ``(d, d)`` product is formed. A relative eigenvalue
+    magnitude at or below ``KERNEL_TOL`` is a kernel violation and raises
+    :class:`KernelError`; a ratio below ``epsilon_threshold`` is classified
+    near-singular with ``epsilon`` equal to the smallest magnitude.
     """
     W = symmetrize(as_square_matrix(matrix, "gram matrix"))
     eig = symmetric_eig(W)
@@ -137,14 +177,19 @@ def build_gram(
         classification=NEAR_SINGULAR if near_singular else REGULAR,
         epsilon=smallest if near_singular else None,
     )
-    root = np.sqrt(magnitudes)
+    if _is_diagonal(W):
+        values, assemble = W.diagonal(), np.diag
+    else:
+        values, assemble = eig.eigenvalues, eig.assemble
+    absolute = np.abs(values)
+    root = np.sqrt(absolute)
     return GramOperator(
         matrix=W,
         eig=eig,
-        symmetry=eig.assemble(np.copysign(1.0, eig.eigenvalues)),
-        abs_matrix=eig.assemble(magnitudes),
-        sqrt_abs=eig.assemble(root),
-        inv_sqrt_abs=eig.assemble(1.0 / root),
+        symmetry=assemble(np.copysign(1.0, values)),
+        abs_matrix=assemble(absolute),
+        sqrt_abs=assemble(root),
+        inv_sqrt_abs=assemble(1.0 / root),
         regularity=report,
     )
 
@@ -179,12 +224,12 @@ class PolarReport:
 
 def verify_polar_identities(gram: GramOperator) -> PolarReport:
     """Residuals of the cached polar factors against their identities."""
-    J, W, root = gram.symmetry, gram.matrix, gram.sqrt_abs
+    J, W = gram.symmetry, gram.matrix
     return PolarReport(
-        frobenius(J @ J - np.eye(gram.dim)),
-        frobenius(J @ gram.abs_matrix - W),
-        frobenius(J @ W - W @ J),
-        frobenius(root @ root - gram.abs_matrix),
+        frobenius(gram.times("symmetry", J) - np.eye(gram.dim)),
+        frobenius(gram.times("symmetry", gram.abs_matrix) - W),
+        frobenius(gram.times("symmetry", W) - gram.times("symmetry", W, right=True)),
+        frobenius(gram.times("sqrt_abs", gram.sqrt_abs) - gram.abs_matrix),
     )
 
 
@@ -194,6 +239,6 @@ def norm_equivalence_holds(gram: GramOperator, samples) -> bool:
     ``NORM_EQUIVALENCE_SLACK``."""
     lower, upper = norm_equivalence_constants(gram)
     x = samples / np.linalg.norm(samples, axis=1, keepdims=True)
-    values = np.sum((x @ gram.abs_matrix) * x, axis=1)
+    values = np.sum(gram.times("abs_matrix", x, right=True) * x, axis=1)
     slack = NORM_EQUIVALENCE_SLACK
     return bool(np.all((lower - slack <= values) & (values <= upper + slack)))

@@ -322,9 +322,12 @@ class SpectralReport:
     @functools.cached_property
     def multiplication_form_residual(self) -> float:
         """Largest Frobenius distance of ``B^T W B`` from ``diag(values)``."""
-        W = self.gram.matrix
+        gram = self.gram
         return max(
-            frobenius(b.basis.T @ W @ b.basis - b.multiplication_matrix())
+            frobenius(
+                gram.times("matrix", b.basis.T, right=True) @ b.basis
+                - b.multiplication_matrix()
+            )
             for b in self.representation.blocks
         )
 

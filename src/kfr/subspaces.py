@@ -204,7 +204,7 @@ def is_projectively_complete(
     if subspace.dim == 0:
         return CompletenessCheck(True, 0.0, 0.0, None)
     B = subspace.basis
-    compressed = symmetrize(B.T @ gram.matrix @ B)
+    compressed = symmetrize(gram.times("matrix", B.T, right=True) @ B)
     eig = symmetric_eig(compressed)
     magnitudes = np.abs(eig.eigenvalues)
     smallest, largest = float(magnitudes.min()), float(magnitudes.max())

@@ -22,6 +22,7 @@ by a factor approaching two, see the report fields.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,8 +34,8 @@ from .fusion import (
     FrameBounds,
     FrameGeometry,
     WeightedSubspaceFamily,
+    _transport,
     frame_bounds,
-    transport_by_invertible,
     whitened_bounds,
 )
 from .krein import EPSILON_THRESHOLD, GramOperator, build_gram
@@ -146,17 +147,25 @@ def transfer_map_hilbert_to_krein(
 
     Optimal companion-metric bounds of the image equal the plain-metric
     bounds of the source.
+
+    Unlike :func:`~kfr.fusion.transport_by_invertible`, both transfer maps
+    take no singular values to test the map's condition number: the test
+    cannot fail. ``_require_above_floor`` rejects ``cond(W) > 1 /
+    MACHINE_FLOOR = 1e12``, so ``cond(|W|^{+-1/2}) = sqrt(cond(W)) <= 1e6``,
+    far under ``TRANSPORT_COND_CAP = 1e10``. The factor is applied through
+    :meth:`~kfr.krein.GramOperator.times`.
     """
     _require_above_floor(gram)
-    return transport_by_invertible(family, gram.inv_sqrt_abs)
+    return _transport(family, functools.partial(gram.times, "inv_sqrt_abs"))
 
 
 def transfer_map_krein_to_hilbert(
     family: WeightedSubspaceFamily, gram: GramOperator
 ) -> WeightedSubspaceFamily:
-    """Image family under ``|W|^{1/2}``, inverse of the other transfer map."""
+    """Image family under ``|W|^{1/2}``, inverse of the other transfer map;
+    like it, it needs no condition test."""
     _require_above_floor(gram)
-    return transport_by_invertible(family, gram.sqrt_abs)
+    return _transport(family, functools.partial(gram.times, "sqrt_abs"))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,17 @@ FACTORIZATIONS = ("eigh", "eigvalsh", "svd", "cholesky", "solve")
 
 class EigenCalls(list):
     """Matrix sizes of ``symmetric_eig`` calls, one entry per call; the
-    parallel ``vectors`` list says whether that call asked for vectors, and
+    parallel ``vectors`` list says whether that call asked for vectors,
     ``factorizations`` holds ``(kind, input shape)`` for each dense
-    factorization that actually ran, one of :data:`FACTORIZATIONS`."""
+    factorization that actually ran, one of :data:`FACTORIZATIONS`, and
+    ``assembles`` counts ``EigenDecomposition.assemble`` calls, each a
+    ``(d, d)`` product ``V diag(values) V^T``."""
 
     def __init__(self):
         super().__init__()
         self.vectors: list[bool] = []
         self.factorizations: list[tuple[str, tuple[int, ...]]] = []
+        self.assembles = 0
 
     @property
     def values_only(self) -> int:
@@ -35,8 +38,8 @@ class EigenCalls(list):
 
 @pytest.fixture
 def count_eigs(monkeypatch):
-    """Call to start counting ``symmetric_eig`` calls and dense
-    factorizations: returns an :class:`EigenCalls` that grows by one entry
+    """Call to start counting ``symmetric_eig`` calls, dense factorizations
+    and ``EigenDecomposition.assemble`` calls: returns an :class:`EigenCalls` that grows by one entry
     per call from then on.
 
     ``from .linalg import symmetric_eig`` copies the name into other
@@ -64,6 +67,12 @@ def count_eigs(monkeypatch):
 
             return counted
 
+        assemble = kfr.linalg.EigenDecomposition.assemble
+
+        def counting_assemble(self, values):
+            calls.assembles += 1
+            return assemble(self, values)
+
         for name, module in list(sys.modules.items()):
             if name == "kfr" or name.startswith("kfr."):
                 for attr, value in list(vars(module).items()):
@@ -71,6 +80,9 @@ def count_eigs(monkeypatch):
                         monkeypatch.setattr(module, attr, counting)
         for kind in FACTORIZATIONS:
             monkeypatch.setattr(np.linalg, kind, counting_factorization(kind))
+        monkeypatch.setattr(
+            kfr.linalg.EigenDecomposition, "assemble", counting_assemble
+        )
         return calls
 
     return start

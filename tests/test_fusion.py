@@ -761,3 +761,11 @@ class TestTransport:
         family = coordinate_family(2)
         with pytest.raises(ValueError):
             transport_by_invertible(family, np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    def test_ill_conditioned_map_rejected(self):
+        # the transfer maps skip this test, which their floor makes moot;
+        # any other operator keeps the TRANSPORT_COND_CAP = 1e10 cap
+        family = coordinate_family(2)
+        with pytest.raises(ValueError, match="numerically singular"):
+            transport_by_invertible(family, np.diag([1.0, 1e-11]))
+        transport_by_invertible(family, np.diag([1.0, 1e-9]))

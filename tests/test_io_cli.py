@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ import pytest
 import kfr
 import kfr.generators
 import kfr.io
+import kfr.krein
+import kfr.linalg
 from kfr.cli import main
 from kfr.generators import make_instance_payload
 from kfr.io import (
@@ -576,9 +580,9 @@ class TestCli:
     }
 
     #: Dense LAPACK factorizations per command, by kind. ``svd``: one per
-    #: parsed member, and transfer's others come from
-    #: ``transport_by_invertible``; the J-images and the companion blocks keep
-    #: the bases they have. ``cholesky``: one per member and projection kind
+    #: parsed member, and transfer's others orthonormalize its three image
+    #: families, with no condition-number SVD; the J-images and the companion
+    #: blocks keep the bases they have. ``cholesky``: one per member and projection kind
     #: of each companion-metric bound; plain-metric bounds and the spectral
     #: projection sum factor nothing. ``eigh`` and ``eigvalsh`` are the
     #: solves above that reach LAPACK; the others take ``symmetric_eig``'s
@@ -595,13 +599,27 @@ class TestCli:
         ("equivalence",):
             {"eigh": 7, "eigvalsh": 4, "svd": 3, "cholesky": 12, "solve": 12},
         ("transfer",):
-            {"eigh": 5, "eigvalsh": 4, "svd": 15, "cholesky": 6, "solve": 6},
+            {"eigh": 5, "eigvalsh": 4, "svd": 12, "cholesky": 6, "solve": 6},
         ("sweep",):
             {"eigh": 18, "eigvalsh": 13, "svd": 3, "cholesky": 18, "solve": 18},
         ("spectral",):
             {"eigh": 1, "eigvalsh": 0, "svd": 0, "cholesky": 1, "solve": 1},
         ("check",):
             {"eigh": 7, "eigvalsh": 5, "svd": 3, "cholesky": 13, "solve": 19},
+    }
+
+    #: ``EigenDecomposition.assemble`` calls per command: four per dense Gram
+    #: operator, one per polar factor. ``analyze --metric hilbert`` builds
+    #: none, and the default sweep builds only diagonal ones, which assemble
+    #: nothing (it made 24, four for each of its six epsilons).
+    ASSEMBLES = {
+        ("analyze", "--metric", "hilbert"): 0,
+        ("analyze", "--metric", "krein"): 4,
+        ("equivalence",): 4,
+        ("transfer",): 4,
+        ("sweep",): 0,
+        ("spectral",): 4,
+        ("check",): 4,
     }
 
     @pytest.mark.parametrize(
@@ -629,6 +647,45 @@ class TestCli:
         assert len(sizes) == count
         assert sizes.values_only == self.VALUES_ONLY[command]
         assert sizes.tally == self.FACTORIZATIONS[command]
+        assert sizes.assembles == self.ASSEMBLES[command]
+
+    REPORT_COMMANDS = tuple(command for command in ASSEMBLES)
+
+    @staticmethod
+    def coordinate_instance(tmp_path):
+        """A bench ``coord_large`` instance at d = 12: diagonal indefinite W,
+        three overlapping coordinate subspaces."""
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        payload = runpy.run_path(str(path))["coordinate_payload"](7, 12, 3)
+        return write_instance(tmp_path, payload)
+
+    def test_a_diagonal_gram_assembles_nothing(self, tmp_path, monkeypatch):
+        def unreachable(self, values):
+            raise AssertionError("a diagonal Gram operator assembled a factor")
+
+        path = self.coordinate_instance(tmp_path)
+        monkeypatch.setattr(kfr.linalg.EigenDecomposition, "assemble", unreachable)
+        output = str(tmp_path / "report.json")
+        for command in self.REPORT_COMMANDS:
+            assert main([*command, "--input", path, "--output", output]) == 0
+
+    def test_diagonal_products_keep_report_bytes(self, tmp_path, monkeypatch):
+        # the dense products and the row and column scalings give the same
+        # reports; with the detection off every factor is assembled densely
+        path = self.coordinate_instance(tmp_path)
+        output = tmp_path / "report.json"
+
+        def reports():
+            texts = []
+            for command in self.REPORT_COMMANDS:
+                assert main([*command, "--input", path,
+                             "--output", str(output)]) == 0
+                texts.append(output.read_bytes())
+            return texts
+
+        scaled = reports()
+        monkeypatch.setattr(kfr.krein, "_is_diagonal", lambda matrix: False)
+        assert reports() == scaled
 
     def test_check_reads_only_the_spectral_pieces_it_uses(self, tmp_path, monkeypatch):
         def unread(report):

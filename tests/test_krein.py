@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kfr.krein import (
+    FACTORS,
     NEAR_SINGULAR,
     REGULAR,
     KernelError,
@@ -223,3 +224,48 @@ class TestVerdicts:
         planted = dataclasses.replace(g, abs_matrix=np.diag([2.0, 4.0]))
         assert not norm_equivalence_holds(planted, np.eye(2))
         assert norm_equivalence_holds(g, np.eye(2))
+
+
+def random_diagonal_gram(seed, d):
+    """``build_gram`` of a diagonal W with seeded signs and magnitudes."""
+    rng = np.random.default_rng(seed)
+    signs = rng.permutation(np.repeat([1.0, -1.0], [d - d // 2, d // 2]))
+    return build_gram(np.diag(signs * rng.uniform(0.5, 3.0, size=d)))
+
+
+class TestStructuredProducts:
+    """``GramOperator.times`` scales rows or columns on a diagonal operator."""
+
+    def test_diagonal_is_read_from_the_stored_matrices(self):
+        g = build_gram(np.diag([2.0, -3.0]))
+        assert g.diagonal
+        assert not build_gram(random_invertible_symmetric(1, 3)).diagonal
+        # symmetric_eig treats this W as diagonal; its products stay dense
+        assert not build_gram(np.array([[2.0, 1e-20], [1e-20, -3.0]])).diagonal
+        assert dataclasses.replace(g, symmetry=np.eye(2)).diagonal
+        rotated = dataclasses.replace(g, symmetry=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert not rotated.diagonal
+        assert np.array_equal(rotated.times("symmetry", np.eye(2)), rotated.symmetry)
+
+    def test_a_diagonal_gram_assembles_no_factor(self, count_eigs):
+        calls = count_eigs()
+        random_diagonal_gram(0, 8)
+        assert calls.assembles == 0
+        build_gram(random_invertible_symmetric(0, 8))
+        assert calls.assembles == 4
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("factor", FACTORS)
+    def test_scalings_equal_the_dense_products(self, seed, factor):
+        g = random_diagonal_gram(seed, 9)
+        F = getattr(g, factor)
+        rng = np.random.default_rng(100 + seed)
+        # a dense block, and coordinate columns, whose products are mostly zeros
+        for B in (rng.standard_normal((9, 4)), np.eye(9)[:, [0, 3, 4, 8]]):
+            assert np.array_equal(g.times(factor, B), F @ B)
+            assert np.array_equal(g.times(factor, B.T, right=True), B.T @ F)
+            assert np.array_equal(
+                g.times(factor, B.T, right=True) @ B, B.T @ F @ B
+            )
+        samples = rng.standard_normal((6, 9))
+        assert np.array_equal(g.times(factor, samples, right=True), samples @ F)

@@ -197,3 +197,57 @@ def test_only_subspaces_references_a_dense_projection():
             for name in sorted(names & DENSE_PROJECTIONS):
                 offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+#: The (d, d) matrices of a Gram operator. Outside ``kfr.krein`` no ``@``
+#: takes one of them as an operand: products go through
+#: ``GramOperator.times``, which scales rows or columns when they are
+#: diagonal. Only the (d, d) reference constructors of ``kfr.subspaces``
+#: multiply them densely.
+GRAM_FACTORS = {"matrix", "symmetry", "abs_matrix", "sqrt_abs", "inv_sqrt_abs"}
+
+
+def _gram_factor_operands(function: ast.AST) -> list[str]:
+    """``@`` operands in ``function`` that are a Gram factor attribute or a
+    local name bound to one."""
+    aliases = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = list(zip(target.elts, node.value.elts))
+                for name, value in pairs:
+                    if (
+                        isinstance(name, ast.Name)
+                        and isinstance(value, ast.Attribute)
+                        and value.attr in GRAM_FACTORS
+                    ):
+                        aliases.add(name.id)
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            for operand in (node.left, node.right):
+                if (
+                    isinstance(operand, ast.Attribute) and operand.attr in GRAM_FACTORS
+                ) or (isinstance(operand, ast.Name) and operand.id in aliases):
+                    found.append(f"{node.lineno} {_dotted(operand)}")
+    return found
+
+
+def test_only_krein_multiplies_by_a_gram_factor():
+    import kfr
+
+    package = Path(kfr.__file__).resolve().parent
+    offenders = set()
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "krein.py" and path.parent == package:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if path.name == "subspaces.py" and node.name in DENSE_PROJECTIONS:
+                continue
+            offenders.update(f"{path.name}:{hit}" for hit in _gram_factor_operands(node))
+    assert sorted(offenders) == []
