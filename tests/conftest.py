@@ -39,8 +39,8 @@ class EigenCalls(list):
 @pytest.fixture
 def count_eigs(monkeypatch):
     """Call to start counting ``symmetric_eig`` calls, dense factorizations
-    and ``EigenDecomposition.assemble`` calls: returns an :class:`EigenCalls` that grows by one entry
-    per call from then on.
+    and ``EigenDecomposition.assemble`` calls: returns an
+    :class:`EigenCalls` that grows by one entry per call from then on.
 
     ``from .linalg import symmetric_eig`` copies the name into other
     modules, so every ``kfr`` module binding is replaced, not just one.

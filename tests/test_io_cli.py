@@ -581,16 +581,16 @@ class TestCli:
 
     #: Dense LAPACK factorizations per command, by kind. ``svd``: one per
     #: parsed member, and transfer's others orthonormalize its three image
-    #: families, with no condition-number SVD; the J-images and the companion
-    #: blocks keep the bases they have. ``cholesky``: one per member and projection kind
-    #: of each companion-metric bound; plain-metric bounds and the spectral
-    #: projection sum factor nothing. ``eigh`` and ``eigvalsh`` are the
-    #: solves above that reach LAPACK; the others take ``symmetric_eig``'s
-    #: already-diagonal path. ``solve``: one per member and kind of each
-    #: companion-metric bound (the J-kind's is the member's kept
-    #: ``K^{-1} (W B)^T``); check's 19 add two per member, with r right-hand
-    #: sides, for the composed J-projection, whose direct one reads the
-    #: J-block's solve.
+    #: families, with no condition-number SVD; the J-images and the
+    #: companion blocks keep the bases they have. ``cholesky``: one per
+    #: member and projection kind of each companion-metric bound;
+    #: plain-metric bounds and the spectral projection sum factor nothing.
+    #: ``eigh`` and ``eigvalsh`` are the solves above that reach LAPACK; the
+    #: others take ``symmetric_eig``'s already-diagonal path. ``solve``: one
+    #: per member and kind of each companion-metric bound (the J-kind's is
+    #: the member's kept ``K^{-1} (W B)^T``); check's 19 add two per member,
+    #: with r right-hand sides, for the composed J-projection, whose direct
+    #: one reads the J-block's solve.
     FACTORIZATIONS = {
         ("analyze", "--metric", "hilbert"):
             {"eigh": 0, "eigvalsh": 1, "svd": 3, "cholesky": 0, "solve": 0},
@@ -649,7 +649,7 @@ class TestCli:
         assert sizes.tally == self.FACTORIZATIONS[command]
         assert sizes.assembles == self.ASSEMBLES[command]
 
-    REPORT_COMMANDS = tuple(command for command in ASSEMBLES)
+    REPORT_COMMANDS = tuple(ASSEMBLES)
 
     @staticmethod
     def coordinate_instance(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from kfr.fusion import FrameGeometry, frame_bounds
 from kfr.generators import random_gram, random_invariant_family
+from kfr.krein import FACTORS
 from kfr.linalg import frobenius
 from kfr.spectral import (
     krein_decomposition,
@@ -199,14 +200,6 @@ def test_only_subspaces_references_a_dense_projection():
     assert offenders == []
 
 
-#: The (d, d) matrices of a Gram operator. Outside ``kfr.krein`` no ``@``
-#: takes one of them as an operand: products go through
-#: ``GramOperator.times``, which scales rows or columns when they are
-#: diagonal. Only the (d, d) reference constructors of ``kfr.subspaces``
-#: multiply them densely.
-GRAM_FACTORS = {"matrix", "symmetry", "abs_matrix", "sqrt_abs", "inv_sqrt_abs"}
-
-
 def _gram_factor_operands(function: ast.AST) -> list[str]:
     """``@`` operands in ``function`` that are a Gram factor attribute or a
     local name bound to one."""
@@ -221,7 +214,7 @@ def _gram_factor_operands(function: ast.AST) -> list[str]:
                     if (
                         isinstance(name, ast.Name)
                         and isinstance(value, ast.Attribute)
-                        and value.attr in GRAM_FACTORS
+                        and value.attr in FACTORS
                     ):
                         aliases.add(name.id)
     found = []
@@ -229,13 +222,18 @@ def _gram_factor_operands(function: ast.AST) -> list[str]:
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
             for operand in (node.left, node.right):
                 if (
-                    isinstance(operand, ast.Attribute) and operand.attr in GRAM_FACTORS
+                    isinstance(operand, ast.Attribute) and operand.attr in FACTORS
                 ) or (isinstance(operand, ast.Name) and operand.id in aliases):
                     found.append(f"{node.lineno} {_dotted(operand)}")
     return found
 
 
 def test_only_krein_multiplies_by_a_gram_factor():
+    # Outside kfr.krein no @ takes one of the (d, d) matrices of a Gram
+    # operator (krein.FACTORS) as an operand: products go through
+    # GramOperator.times, which scales rows or columns when they are
+    # diagonal. Only the (d, d) reference constructors of kfr.subspaces
+    # multiply them densely.
     import kfr
 
     package = Path(kfr.__file__).resolve().parent
@@ -245,9 +243,10 @@ def test_only_krein_multiplies_by_a_gram_factor():
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, ast.FunctionDef) or (
+                path.name == "subspaces.py" and node.name in DENSE_PROJECTIONS
+            ):
                 continue
-            if path.name == "subspaces.py" and node.name in DENSE_PROJECTIONS:
-                continue
-            offenders.update(f"{path.name}:{hit}" for hit in _gram_factor_operands(node))
+            for hit in _gram_factor_operands(node):
+                offenders.add(f"{path.name}:{hit}")
     assert sorted(offenders) == []
